@@ -33,10 +33,8 @@
 // footer's "disk hits" count shows how much was replayed; corrupted or
 // truncated entries degrade to misses, never errors.
 //
-// -nocache disables the interpreter's predecoded instruction cache (the
-// differential-testing escape hatch; output is identical, only slower).
-// -nopipecache disables the per-function recompile cache — orthogonal to
-// -nocache, so trace/metrics comparisons can isolate each cache.
+// -nopipecache disables the artifact store (the per-function recompile
+// cache and friends).
 // -cpuprofile/-memprofile write pprof profiles so perf work on the
 // interpreter and pipeline needs no code edits.
 package main
@@ -63,9 +61,7 @@ func main() {
 	xisaOut := flag.String("xisa-out", "", "write the cross-ISA JSON record (BENCH_xisa.json) to `file`")
 	jobs := flag.Int("j", runtime.NumCPU(), "concurrent pipeline cells (1 = serial)")
 	jpipe := flag.Int("jpipe", runtime.NumCPU(), "concurrent per-recompile function lifts/optimizations (1 = serial)")
-	nocache := flag.Bool("nocache", false, "disable the VM predecoded instruction cache")
 	target := flag.String("target", "", "lowering target ISA: mx64 (default) or mx64w (weakly ordered, register-poor)")
-	dispatch := flag.String("dispatch", vm.DispatchDefault.String(), "VM dispatch engine: threaded or switch")
 	nopipecache := flag.Bool("nopipecache", false, "disable the artifact store (per-function recompile cache and friends)")
 	storeDir := flag.String("store", "", "back the artifact store with a disk tier rooted at `dir` (persists across runs)")
 	storeMaxMB := flag.Int64("store-max-mb", 0, "prune the disk tier to at most `N` MiB (0 = unbounded)")
@@ -77,13 +73,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to `file`")
 	flag.Parse()
 
-	vm.NoCacheDefault = *nocache
-	mode, err := vm.ParseDispatchMode(*dispatch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "polybench: %v\n", err)
-		os.Exit(2)
-	}
-	vm.DispatchDefault = mode
 	if mx.TargetByName(*target) == nil {
 		fmt.Fprintf(os.Stderr, "polybench: unknown -target %q (want mx64 or mx64w)\n", *target)
 		os.Exit(2)

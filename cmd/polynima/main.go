@@ -69,15 +69,10 @@ func main() {
 	remoteStore := fs.String("remote-store", "", "back the artifact store with a polynimad store service at `url`")
 	remoteToken := fs.String("remote-store-token", "", "bearer `token` sent to the remote store service")
 	cfgPath := fs.String("cfg", "", "additive: checkpoint the evolving CFG to `file` (atomic write) and resume from it")
-	dispatch := fs.String("dispatch", vm.DispatchDefault.String(), "VM dispatch engine: threaded or switch")
 	tracefile := fs.String("tracefile", "", "write a Chrome trace_event JSON span trace to `file`")
 	traceparent := fs.String("traceparent", "", "join an enclosing distributed trace (W3C traceparent `value`)")
 	imgPath := os.Args[2]
 	_ = fs.Parse(os.Args[3:])
-
-	mode, err := vm.ParseDispatchMode(*dispatch)
-	check(err)
-	vm.DispatchDefault = mode
 
 	// The process's trace position: a child of -traceparent when one was
 	// given (so this run's remote store ops land in the caller's trace),

@@ -59,7 +59,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/vm"
 )
 
 func main() {
@@ -78,13 +77,8 @@ func main() {
 	jpipe := flag.Int("jpipe", runtime.NumCPU(), "concurrent per-job function lifts/optimizations (1 = serial)")
 	tracefile := flag.String("tracefile", "", "write a Chrome trace_event JSON span trace to `file` at shutdown")
 	logFormat := flag.String("log-format", "", "structured access log on stderr: json or text (default off)")
-	dispatch := flag.String("dispatch", vm.DispatchDefault.String(), "VM dispatch engine for job runs: threaded or switch")
 	target := flag.String("target", "", "default lowering target ISA for jobs: mx64 (default) or mx64w; jobs override with ?target=")
 	flag.Parse()
-
-	mode, err := vm.ParseDispatchMode(*dispatch)
-	check(err)
-	vm.DispatchDefault = mode
 
 	var logger *slog.Logger
 	switch *logFormat {

@@ -90,13 +90,6 @@ func BuildMetrics(s StageSnapshot, st map[string]store.Counters, c *vm.Counters,
 		}
 	}
 
-	// Info-style metric: constant 1 with the engine in the label, so a
-	// metrics consumer can tell which dispatch engine produced a run's
-	// numbers (threaded vs the -dispatch=switch escape hatch).
-	ms.Gauge("vm_dispatch_mode",
-		"Dispatch engine new machines use (info metric: constant 1, engine in the mode label).").
-		Set(1, obs.Label{Key: "mode", Val: vm.DispatchDefault.String()})
-
 	// Build/runtime info, the same family polynimad exports, so one fleet
 	// dashboard can tell which toolchain and configuration produced every
 	// scrape regardless of whether it came from a daemon or a bench run.
@@ -106,10 +99,9 @@ func BuildMetrics(s StageSnapshot, st map[string]store.Counters, c *vm.Counters,
 	}
 	sort.Strings(tiers)
 	ms.Gauge("polynima_build_info",
-		"Build/runtime info: constant 1 with the go version, dispatch mode, and store tiers in labels.").
+		"Build/runtime info: constant 1 with the go version and store tiers in labels.").
 		Set(1,
 			obs.Label{Key: "go_version", Val: runtime.Version()},
-			obs.Label{Key: "dispatch", Val: vm.DispatchDefault.String()},
 			obs.Label{Key: "store_tiers", Val: strings.Join(tiers, ",")})
 
 	if c == nil {

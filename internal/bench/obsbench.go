@@ -11,10 +11,9 @@ import (
 // by the differential benchmarks in obsbench_test.go (go test -bench
 // BenchmarkObs ./internal/bench/...). Each benchmark runs the same workload
 // twice — instrumentation off and on — and the Overheads map records the
-// on/off time ratio. The "off" rows double as the disabled-path overhead
-// proof: the nil-gated hot paths must keep the uninstrumented interpreter
-// within DESIGN.md's <3% contract of the pre-observability baseline
-// (BENCH_vm.json).
+// on/off time ratio. The StepLoop "off" row is the disabled-path evidence
+// of DESIGN.md §6: it times the VM's fast loop, which has no counter
+// checks, on the same program as the "on" row's per-step loop.
 
 // ObsBenchEntry is one observability differential measurement.
 type ObsBenchEntry struct {

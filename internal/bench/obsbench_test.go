@@ -39,9 +39,9 @@ func recordObsBench(e ObsBenchEntry) {
 // infinite, so every run retires exactly this many instructions.
 const obsStepFuel = 1_000_000
 
-// obsStepLoopImage mirrors internal/vm's step-loop benchmark program (ALU
-// ops, indexed store+load, call/ret, taken branch) so the counters-off row
-// of BENCH_obs.json is directly comparable to BENCH_vm.json's StepLoop.
+// obsStepLoopImage is the step-loop benchmark program (ALU ops, indexed
+// store+load, call/ret, taken branch); its counters-off row in
+// BENCH_obs.json is the VM's fast-loop throughput.
 func obsStepLoopImage(tb testing.TB) *image.Image {
 	tb.Helper()
 	b := asm.NewBuilder("obssteploop")
@@ -96,9 +96,9 @@ func runObsStepLoop(tb testing.TB, img *image.Image, counters bool) (uint64, tim
 }
 
 // BenchmarkObsStepLoop is the observability differential for guest
-// execution: the identical hot loop with machine counters off (the default
-// nil-gated path, which must stay within the <3% disabled-overhead contract)
-// and on. The ratio is BENCH_obs.json's "StepLoop" overhead.
+// execution: the identical hot loop with machine counters off (the VM's
+// fast loop, which has no counter checks) and on (the per-step loop). The
+// ratio is BENCH_obs.json's "StepLoop" overhead.
 func BenchmarkObsStepLoop(b *testing.B) {
 	img := obsStepLoopImage(b)
 	for _, variant := range []struct {

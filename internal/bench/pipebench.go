@@ -11,8 +11,7 @@ import (
 // emitted by the pipeline micro-benchmarks (go test -bench
 // 'BenchmarkRecompile|BenchmarkAdditiveLoop' ./internal/bench/...). CI
 // uploads the file as a workflow artifact so the parallel/cached pipeline's
-// perf trajectory is tracked PR over PR, the same way BENCH_vm.json tracks
-// the interpreter.
+// perf trajectory is tracked PR over PR.
 
 // Pipeline benchmark modes. "serial" is the historical baseline (-jpipe 1,
 // function cache off); every speedup is relative to it.

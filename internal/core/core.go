@@ -524,8 +524,7 @@ func (p *Project) Run(img *image.Image, in Input) (vm.Result, error) {
 	if in.Data != nil {
 		m.SetInput(in.Data)
 	}
-	sp := p.Opts.Obs.Begin(p.obsTID(), "guest", "guest-run",
-		obs.Arg{Key: "dispatch", Val: m.Dispatch().String()})
+	sp := p.Opts.Obs.Begin(p.obsTID(), "guest", "guest-run")
 	res := m.Run(p.Opts.Fuel)
 	sp.Arg("insts", res.Insts).Arg("cycles", res.Cycles).End()
 	return res, nil
@@ -600,8 +599,7 @@ func (p *Project) RunAdditive(in Input, maxLoops int) (*AdditiveResult, error) {
 			}
 		}
 		gsp := p.Opts.Obs.Begin(p.obsTID(), "guest", "guest-run",
-			obs.Arg{Key: "loop", Val: loop},
-			obs.Arg{Key: "dispatch", Val: m.Dispatch().String()})
+			obs.Arg{Key: "loop", Val: loop})
 		res := m.Run(p.Opts.Fuel)
 		gsp.Arg("insts", res.Insts).Arg("misses", len(misses)).End()
 		if res.Fault != nil {

@@ -77,7 +77,6 @@ import (
 	"repro/internal/mx"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/vm"
 )
 
 // Config assembles a Server.
@@ -228,10 +227,9 @@ func (s *Server) initMetrics() {
 	s.histStoreOp = s.ms.Histogram("store_tier_op_seconds",
 		"Shared artifact-store operation latency, by tier and op (get/put).", storeOpBuckets)
 	s.ms.Gauge("polynima_build_info",
-		"Build/runtime info: constant 1 with the go version, dispatch mode, and store tiers in labels.").
+		"Build/runtime info: constant 1 with the go version and store tiers in labels.").
 		Set(1,
 			obs.Label{Key: "go_version", Val: runtime.Version()},
-			obs.Label{Key: "dispatch", Val: vm.DispatchDefault.String()},
 			obs.Label{Key: "store_tiers", Val: strings.Join(s.storeTierNames(), ",")})
 	s.ms.Gauge("go_goroutines", "Live goroutines.")
 	s.ms.Gauge("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.")

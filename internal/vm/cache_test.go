@@ -3,33 +3,20 @@ package vm_test
 import (
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/mx"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
-// identitySeeds is the scheduler-seed matrix for differential cache testing.
-var identitySeeds = []int64{1, 2, 3, 5}
-
-func sameResult(a, b vm.Result) bool {
-	if a.ExitCode != b.ExitCode || a.Cycles != b.Cycles ||
-		a.Insts != b.Insts || a.Output != b.Output {
-		return false
-	}
-	if (a.Fault == nil) != (b.Fault == nil) {
-		return false
-	}
-	return a.Fault == nil || *a.Fault == *b.Fault
-}
-
-// TestCacheIdentity proves the decode-once engine is invisible: for every
-// workload and every seed in the matrix, a run with the predecoded
-// instruction cache and a -nocache run produce byte-identical Results
-// (exit code, cycles, instruction count, output, fault).
+// TestCacheIdentity proves the predecode cache is invisible: every
+// workload, run on the fast loop with all of its predecoded pages dropped
+// about coldDrops times — the block hook rewrites each executable section
+// with its own bytes, which the write watch reports as stores into code —
+// must re-decode and recompile mid-run and still produce the Result of an
+// undisturbed run.
 func TestCacheIdentity(t *testing.T) {
+	const coldDrops = 64
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -39,34 +26,41 @@ func TestCacheIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, seed := range identitySeeds {
-				in := w.Input()
-				exec := func(nocache bool) vm.Result {
-					m, err := vm.NewWithExts(img, seed, in.Exts)
-					if err != nil {
-						t.Fatal(err)
+				blocks := 0
+				warm, _ := runCell(t, img, seed, w.Input(), cell{}, bench.Fuel, func(m *vm.Machine) {
+					m.OnBlock = func(*vm.Thread, uint64) { blocks++ }
+				})
+				every, n, drops := blocks/coldDrops+1, 0, 0
+				cold, _ := runCell(t, img, seed, w.Input(), cell{}, bench.Fuel, func(m *vm.Machine) {
+					m.OnBlock = func(*vm.Thread, uint64) {
+						if n++; n%every != 0 {
+							return
+						}
+						drops++
+						for _, s := range m.Img.Sections {
+							if s.Exec {
+								code, _ := m.Mem.ReadBytes(s.Addr, s.Size)
+								m.Mem.WriteBytes(s.Addr, code)
+							}
+						}
 					}
-					if in.Data != nil {
-						m.SetInput(in.Data)
-					}
-					if nocache {
-						m.DisableCache()
-					}
-					return m.Run(bench.Fuel)
+				})
+				if drops == 0 {
+					t.Fatalf("seed %d: cache never dropped", seed)
 				}
-				cached, uncached := exec(false), exec(true)
-				if !sameResult(cached, uncached) {
-					t.Fatalf("seed %d: cache on/off diverge:\n  on:  %+v\n  off: %+v",
-						seed, cached, uncached)
+				if !sameResult(warm, cold) {
+					t.Fatalf("seed %d: cold-cache run diverges:\n  warm: %+v\n  cold: %+v", seed, warm, cold)
 				}
 			}
 		})
 	}
 }
 
-// TestCacheIdentityRecompiled repeats the differential check on recompiled
-// binaries, whose images carry two executable sections (the original text
-// and the appended recompiled code) and therefore exercise the multi-range
-// code-write watch and multi-page predecode paths.
+// TestCacheIdentityRecompiled runs recompiled binaries for both targets
+// through the fast and per-step loops. Their images carry two executable
+// sections (the original text and the appended recompiled code), which
+// exercises the multi-range code-write watch and multi-page predecode
+// paths; the mx64w images carry real fences and spill traffic.
 func TestCacheIdentityRecompiled(t *testing.T) {
 	for _, name := range []string{"linear_regression", "string_match"} {
 		name := name
@@ -80,93 +74,42 @@ func TestCacheIdentityRecompiled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := core.NewProject(img, core.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, err := p.Recompile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, seed := range identitySeeds {
-				in := w.Input()
-				exec := func(nocache bool) vm.Result {
-					m, err := vm.NewWithExts(rec, seed, in.Exts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if in.Data != nil {
-						m.SetInput(in.Data)
-					}
-					if nocache {
-						m.DisableCache()
-					}
-					return m.Run(bench.Fuel)
+			for _, target := range []string{"mx64", "mx64w"} {
+				opts := core.DefaultOptions()
+				opts.Target = target
+				p, err := core.NewProject(img, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				cached, uncached := exec(false), exec(true)
-				if !sameResult(cached, uncached) {
-					t.Fatalf("seed %d: cache on/off diverge on recompiled binary:\n  on:  %+v\n  off: %+v",
-						seed, cached, uncached)
+				rec, err := p.Recompile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, seed := range identitySeeds {
+					step, _ := runCell(t, rec, seed, w.Input(), cell{counted: true}, bench.Fuel, nil)
+					fast, _ := runCell(t, rec, seed, w.Input(), cell{}, bench.Fuel, nil)
+					if !sameResult(step, fast) {
+						t.Fatalf("%s seed %d: fast loop diverges from per-step on recompiled binary:\n  per-step: %+v\n  fast:     %+v",
+							target, seed, step, fast)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestSelfModifyingStoreInvalidatesCache pins the invalidation contract: a
-// guest that executes a function (so its page is predecoded), stores new
-// bytes over one of its instructions, and executes it again must observe the
-// new bytes — with the cache on and off, identically.
-//
-// The patched instruction is placed so that it starts in the last bytes of
-// one page and its immediate straddles into the next: the store lands in the
-// second page while the cached instruction lives in the first page's
-// predecode entry, which exercises the predecessor-page invalidation rule.
-func TestSelfModifyingStoreInvalidatesCache(t *testing.T) {
-	var results []vm.Result
-	for _, nocache := range []bool{false, true} {
-		b := asm.NewBuilder("selfmod")
-		// Pad so "patch" starts 1 byte before the first page boundary:
-		// its MOVRI (10 bytes: op, dst, imm64) straddles into page 1 with
-		// the low immediate byte at page offset +2.
-		for i := 0; i < pagePad; i++ {
-			b.I(mx.Inst{Op: mx.NOP})
-		}
-		b.Label("patch")
-		b.MovRI(mx.RAX, 111)
-		b.Ret()
-		b.Entry("main")
-		b.Label("main")
-		b.MovSym(mx.RBX, "patch")
-		b.Call("patch") // first execution: predecodes the page, rax=111
-		// Overwrite the MOVRI's low immediate byte (patch+2) with 222.
-		b.I(mx.Inst{Op: mx.STOREI8, Base: mx.RBX, Disp: 2, Imm: 222})
-		b.Call("patch") // must now observe the new bytes: rax=222
-		b.MovRR(mx.RDI, mx.RAX)
-		b.CallExt("exit")
-		img, _, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := vm.New(img, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nocache {
-			m.DisableCache()
-		}
-		res := m.Run(1_000_000)
-		if res.Fault != nil {
-			t.Fatalf("nocache=%v: fault: %v", nocache, res.Fault)
-		}
-		if res.ExitCode != 222 {
-			t.Fatalf("nocache=%v: exit %d, want 222 (stale code executed)", nocache, res.ExitCode)
-		}
-		results = append(results, res)
+// identitySeeds is the scheduler-seed matrix for the identity tests.
+var identitySeeds = []int64{1, 2, 3, 5}
+
+func sameResult(a, b vm.Result) bool {
+	if a.ExitCode != b.ExitCode || a.Cycles != b.Cycles ||
+		a.Insts != b.Insts || a.Output != b.Output {
+		return false
 	}
-	if !sameResult(results[0], results[1]) {
-		t.Fatalf("cache on/off diverge: %+v vs %+v", results[0], results[1])
+	if (a.Fault == nil) != (b.Fault == nil) {
+		return false
 	}
+	return a.Fault == nil || *a.Fault == *b.Fault
 }
 
 // pagePad positions the "patch" label one byte before the 4KiB page

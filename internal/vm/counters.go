@@ -7,12 +7,14 @@ import (
 )
 
 // This file implements the machine-counter side of the observability layer
-// (internal/obs): hardware-level event counts for one Machine, gated behind
-// a single nil check on every hot path so the uninstrumented interpreter
-// keeps its decode-once speed. Enable with Machine.EnableCounters (or
-// machine-wide via CounterSinkDefault); everything counted is derived from
-// the deterministic execution, so for a fixed image, input, and scheduler
-// seed the snapshot is identical run over run.
+// (internal/obs): hardware-level event counts for one Machine. Counted runs
+// execute in the per-step loop (stepBatchCounted, chosen once per batch),
+// so the fast loop itself has no counter checks; the remaining sites
+// (scheduler preemptions, Memory's TLB) sit behind a nil check. Enable with
+// Machine.EnableCounters (or machine-wide via CounterSinkDefault);
+// everything counted is derived from the deterministic execution, so for a
+// fixed image, input, and scheduler seed the snapshot is identical run over
+// run.
 
 // OpClass buckets opcodes for the per-class retired-instruction histogram.
 type OpClass uint8
@@ -159,9 +161,8 @@ var opSpillable = func() [mx.NumOps]bool {
 	return t
 }()
 
-// count accounts one retired instruction (the stepThread hook). Both
-// dispatch engines call it with the decoded instruction, so engine choice
-// never changes a counter value (TestDispatchIdentity).
+// count accounts one retired instruction (the per-step loop's hook, called
+// with the decoded instruction).
 func (c *Counters) count(tid int, inst *mx.Inst) {
 	op := inst.Op
 	c.Insts++
@@ -270,8 +271,7 @@ func (s *CounterSink) Snapshot() *Counters {
 
 // CounterSinkDefault, when set before machines are created (polybench
 // -metrics does this once at startup), enables counters on every new Machine
-// and absorbs each machine's totals into the sink when its Run returns —
-// the same machine-wide seam NoCacheDefault uses for the predecode cache.
+// and absorbs each machine's totals into the sink when its Run returns.
 var CounterSinkDefault *CounterSink
 
 // EnableCounters turns on machine counters for this machine and returns the

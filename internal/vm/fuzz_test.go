@@ -3,24 +3,24 @@ package vm_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/mx"
-	"repro/internal/vm"
 )
 
-// Randomized differential for the dispatch engines: generated guest programs
-// — straight-line streams of ALU/memory/stack/atomic/vector instructions
-// with forward-only branches (fusion candidates included), self-modifying
-// stores that patch later instructions, leaf calls, racy shared-memory
-// traffic from a second thread, and enough code volume that instructions
-// straddle page boundaries — must behave bit-identically under switch and
-// threaded dispatch at every scheduler seed. Register and memory state are
-// folded into the exit checksum; cycles, instruction counts, faults, and
-// the full Counters snapshot are compared directly.
+// Randomized differential for the identity matrix (dispatch_test.go):
+// generated guest programs — straight-line streams of
+// ALU/memory/stack/atomic/vector instructions with forward-only branches
+// (fusion candidates included), self-modifying stores that patch later
+// instructions, leaf calls, racy shared-memory traffic from a second thread,
+// and enough code volume that instructions straddle page boundaries — must
+// behave bit-identically on both machines under the fast and per-step loops
+// at every scheduler seed. Register and memory state are folded into the
+// exit checksum; cycles, instruction counts, faults, and the per-step
+// Counters are compared directly.
 
 // fuzzPool is the register set generated streams may clobber freely. RBX
 // holds the scratch-buffer base, R15 is the generator's addressing scratch,
@@ -39,10 +39,10 @@ type fuzzGen struct {
 	labels int
 }
 
-func (g *fuzzGen) reg() mx.Reg { return fuzzPool[g.r.Intn(len(fuzzPool))] }
-func (g *fuzzGen) vreg() mx.Reg { return mx.Reg(g.r.Intn(mx.NumVRegs)) }
+func (g *fuzzGen) reg() mx.Reg   { return fuzzPool[g.r.Intn(len(fuzzPool))] }
+func (g *fuzzGen) vreg() mx.Reg  { return mx.Reg(g.r.Intn(mx.NumVRegs)) }
 func (g *fuzzGen) cond() mx.Cond { return mx.Cond(g.r.Intn(mx.NumConds)) }
-func (g *fuzzGen) imm32() int64 { return int64(int32(g.r.Uint32())) }
+func (g *fuzzGen) imm32() int64  { return int64(int32(g.r.Uint32())) }
 
 func (g *fuzzGen) label() string {
 	g.labels++
@@ -271,10 +271,8 @@ func buildFuzzImage(t *testing.T, progSeed int64) *image.Image {
 	return img
 }
 
-// TestDispatchFuzzDifferential runs each generated program under both
-// dispatch engines, with and without counters, at several scheduler seeds,
-// and requires bit-identical Results everywhere, identical Counters between
-// engines, and that enabling counters never perturbs execution.
+// TestDispatchFuzzDifferential runs each generated program through every
+// cell of the identity matrix at several scheduler seeds.
 func TestDispatchFuzzDifferential(t *testing.T) {
 	for progSeed := int64(1); progSeed <= 6; progSeed++ {
 		progSeed := progSeed
@@ -282,38 +280,10 @@ func TestDispatchFuzzDifferential(t *testing.T) {
 			t.Parallel()
 			img := buildFuzzImage(t, progSeed)
 			for _, seed := range []int64{1, 4, 9} {
-				exec := func(mode vm.DispatchMode, counted bool) (vm.Result, *vm.Counters) {
-					m, err := vm.New(img, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m.SetDispatch(mode)
-					var c *vm.Counters
-					if counted {
-						c = m.EnableCounters()
-					}
-					return m.Run(10_000_000), c
-				}
-				sw, _ := exec(vm.DispatchSwitch, false)
-				th, _ := exec(vm.DispatchThreaded, false)
-				swc, swCtr := exec(vm.DispatchSwitch, true)
-				thc, thCtr := exec(vm.DispatchThreaded, true)
-				if sw.Fault != nil {
-					// The generator keeps every access in bounds; a fault
-					// means lost coverage, not a legitimate program.
-					t.Fatalf("seed %d: generated program faults: %v", seed, sw.Fault)
-				}
-				if !sameResult(sw, th) {
-					t.Fatalf("seed %d: engines diverge (uncounted):\n  switch:   %+v\n  threaded: %+v", seed, sw, th)
-				}
-				if !sameResult(swc, thc) {
-					t.Fatalf("seed %d: engines diverge (counted):\n  switch:   %+v\n  threaded: %+v", seed, swc, thc)
-				}
-				if !sameResult(sw, swc) {
-					t.Fatalf("seed %d: enabling counters perturbs execution:\n  off: %+v\n  on:  %+v", seed, sw, swc)
-				}
-				if !reflect.DeepEqual(swCtr, thCtr) {
-					t.Fatalf("seed %d: counters diverge:\n  switch:   %+v\n  threaded: %+v", seed, swCtr, thCtr)
+				// The generator keeps every access in bounds; a fault means
+				// lost coverage, not a legitimate program.
+				if res := checkMatrix(t, img, seed, core.Input{}, 10_000_000, cells); res.Fault != nil {
+					t.Fatalf("seed %d: generated program faults: %v", seed, res.Fault)
 				}
 			}
 		})

@@ -4,33 +4,32 @@ import (
 	"repro/internal/mx"
 )
 
-// This file implements the interpreter's decode-once fast path: a predecoded
-// instruction cache keyed by page base. On the first fetch into an executable
-// page the machine decodes the whole page — one instruction per byte offset,
-// since MX64 is variable-length and control can enter at any byte — and every
-// later fetch in that page indexes a struct instead of calling mx.Decode.
+// This file implements the predecoded instruction cache keyed by page base.
+// On the first fetch into an executable page the machine decodes the whole
+// page — one instruction per byte offset, since MX64 is variable-length and
+// control can enter at any byte — and compiles it to a handler table
+// (step_threaded.go); every later fetch in that page indexes a struct
+// instead of calling mx.Decode.
 //
 // Code bytes are read from guest Memory, not from the image, so the cache
-// (and the -nocache differential path, which decodes from the same memory on
-// every step) sees stores into code pages: Memory's write watcher calls
-// invalidateCode for any store that lands in an executable range, and the
-// page is re-decoded from the updated bytes on the next fetch. Decode windows
-// are clamped to the owning section's end, so a final truncated instruction
-// decodes as BAD exactly as a byte-exact uncached fetch would see it.
+// sees stores into code pages: Memory's write watcher calls invalidateCode
+// for any store that lands in an executable range, and the page is
+// re-decoded from the updated bytes on the next fetch. Decode windows are
+// clamped to the owning section's end, so a final truncated instruction
+// decodes as BAD exactly as mx.Decode sees it.
 
-// codePage is the predecoded form of one executable guest page. Under
-// threaded dispatch (step_threaded.go) it additionally carries a per-offset
-// dispatch table, compiled lazily by compile() on the page's first threaded
-// execution; the switch engine ignores it. Write invalidation drops the
-// whole codePage, so fused superinstruction choices and flat-run metadata
-// can never outlive the bytes they were compiled from.
+// codePage is the predecoded form of one executable guest page plus its
+// per-offset dispatch table, compiled by compile() on the page's first
+// execution. Write invalidation drops the whole codePage, so fusion choices
+// and flat-run metadata can never outlive the bytes they were compiled
+// from.
 type codePage struct {
 	insts [pageSize]mx.Inst
 	// lens[off] is the encoded length of insts[off]; 0 means the address
 	// is outside every executable section and fetching it faults.
 	lens [pageSize]uint8
 
-	// threaded-dispatch state (see step_threaded.go)
+	// dispatch state (see step_threaded.go)
 	compiled bool
 	disp     [pageSize]dispatchEnt
 }
@@ -38,40 +37,6 @@ type codePage struct {
 // noPage is the icBase sentinel for "no page cached" (never a page base:
 // page bases are page-aligned).
 const noPage = ^uint64(0)
-
-// fetchInst returns the decoded instruction at pc and its encoded length.
-// ok=false means pc is not executable (unmapped or outside every Exec
-// section); a BAD instruction with ok=true is an illegal-instruction fault.
-// The returned pointer aliases the cache (or the machine's uncached scratch
-// slot) and is only valid until the next fetch or code-page invalidation.
-func (m *Machine) fetchInst(pc uint64) (*mx.Inst, int, bool) {
-	if m.nocache {
-		return m.decodeUncached(pc)
-	}
-	base := pc &^ (pageSize - 1)
-	cp := m.icPage
-	if base != m.icBase {
-		cp = m.icache[base]
-		if cp == nil {
-			cp = m.fillCodePage(base)
-			m.icache[base] = cp
-			if m.ctr != nil {
-				m.ctr.ICacheMisses++
-			}
-		} else if m.ctr != nil {
-			m.ctr.ICacheHits++
-		}
-		m.icBase, m.icPage = base, cp
-	} else if m.ctr != nil {
-		m.ctr.ICacheHits++
-	}
-	off := pc & (pageSize - 1)
-	n := cp.lens[off]
-	if n == 0 {
-		return nil, 0, false
-	}
-	return &cp.insts[off], int(n), true
-}
 
 // fillCodePage predecodes the executable portions of the page at base from
 // guest memory. Offsets outside every Exec section keep lens 0 (fetch
@@ -99,7 +64,7 @@ func (m *Machine) fillCodePage(base uint64) *codePage {
 		}
 		// Tail: bytes after the page boundary that a straddling
 		// instruction may need, clamped to the section end so
-		// truncation semantics match an uncached fetch.
+		// truncation semantics match mx.Decode over the section.
 		var tail []byte
 		tailEnd := s.Addr + s.Size
 		if max := hi + mx.MaxEncodedLen - 1; tailEnd > max {
@@ -115,26 +80,6 @@ func (m *Machine) fillCodePage(base uint64) *codePage {
 		copy(cp.lens[lo-base:], lens)
 	}
 	return cp
-}
-
-// decodeUncached is the -nocache fetch path: find the executable section,
-// read one instruction window from guest memory, and decode it. Semantically
-// identical to the cached path (including window clamping at section ends),
-// just without memoization.
-func (m *Machine) decodeUncached(pc uint64) (*mx.Inst, int, bool) {
-	s := m.Img.FindSection(pc)
-	if s == nil || !s.Exec {
-		return nil, 0, false
-	}
-	window := s.Addr + s.Size - pc
-	if window > mx.MaxEncodedLen {
-		window = mx.MaxEncodedLen
-	}
-	var buf [mx.MaxEncodedLen]byte
-	got := m.Mem.readInto(pc, buf[:window])
-	inst, n := mx.Decode(buf[:got])
-	m.uncachedInst = inst
-	return &m.uncachedInst, n, true
 }
 
 // invalidateCode drops the predecoded pages that could hold an instruction
@@ -157,14 +102,3 @@ func (m *Machine) invalidateCode(pageBase uint64) {
 		m.icBase, m.icPage = noPage, nil
 	}
 }
-
-// DisableCache turns off the predecoded instruction cache for this machine:
-// every step decodes its instruction from guest memory. Execution results
-// are identical either way — this is the -nocache escape hatch used for
-// differential testing of the cache. Call before Run.
-func (m *Machine) DisableCache() { m.nocache = true }
-
-// NoCacheDefault, when set before machines are created, disables the
-// predecode cache machine-wide (set once at startup by polybench -nocache;
-// individual machines can still be switched with DisableCache).
-var NoCacheDefault bool

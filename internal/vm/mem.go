@@ -200,24 +200,6 @@ func (m *Memory) ReadBytes(addr, n uint64) ([]byte, bool) {
 	return out, true
 }
 
-// readInto copies up to len(buf) bytes of guest memory at addr into buf
-// without allocating, stopping at the first unmapped byte. It returns the
-// number of bytes copied. The uncached fetch path uses it to pull one
-// instruction window per step.
-func (m *Memory) readInto(addr uint64, buf []byte) int {
-	n := 0
-	for n < len(buf) {
-		pg, off := m.page(addr, false)
-		if pg == nil {
-			break
-		}
-		c := copy(buf[n:], pg[off:])
-		n += c
-		addr += uint64(c)
-	}
-	return n
-}
-
 // fast single-page accessors; fall back to byte-wise for page straddles.
 
 // Load reads a little-endian value of the given width (1, 4, or 8 bytes).

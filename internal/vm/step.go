@@ -95,7 +95,6 @@ func (t *Thread) Eval(cc mx.Cond) bool {
 	return false
 }
 
-func sx8(v uint64) uint64  { return uint64(int64(int8(v))) }
 func sx32(v uint64) uint64 { return uint64(int64(int32(v))) }
 
 // ea computes inst's base+disp effective address.
@@ -108,429 +107,13 @@ func (t *Thread) eaIdx(inst *mx.Inst) uint64 {
 	return t.Regs[inst.Base] + t.Regs[inst.Idx]*uint64(inst.Scale) + uint64(int64(inst.Disp))
 }
 
-// loadMem and storeMem are the fault-reporting memory accessors of the step
-// loop (hoisted from per-step closures so that stepping allocates nothing).
-
-func (m *Machine) loadMem(t *Thread, pc, addr uint64, w int, sext bool) (uint64, bool) {
-	if m.weak && len(t.sbuf) > 0 {
-		// Store-to-load forwarding from this thread's buffer (weak.go):
-		// an exact match forwards, a partial overlap drains first.
-		if v, hit, overlap := t.sbLoad(addr, w); hit {
-			if sext && w == 4 {
-				v = sx32(v)
-			}
-			return v, true
-		} else if overlap {
-			m.drainSB(t)
-		}
-	}
-	v, ok := m.Mem.Load(addr, w)
-	if !ok {
-		m.faultf(t, pc, "load from unmapped address %#x", addr)
-		return 0, false
-	}
-	if sext && w == 4 {
-		v = sx32(v)
-	}
-	return v, true
-}
-
-func (m *Machine) storeMem(t *Thread, pc, addr, v uint64, w int) bool {
-	if m.weak {
-		return m.storeBuffered(t, pc, addr, v, w)
-	}
-	if !m.Mem.Store(addr, v, w) {
-		m.faultf(t, pc, "store to unmapped address %#x", addr)
-		return false
-	}
-	return true
-}
-
-// stepThread executes one instruction on t.
-func (m *Machine) stepThread(t *Thread) {
-	pc := t.PC
-	inst, n, ok := m.fetchInst(pc)
-	if !ok {
-		m.faultf(t, pc, "instruction fetch from unmapped or non-executable memory")
-		return
-	}
-	if inst.Op == mx.BAD {
-		m.faultf(t, pc, "illegal instruction")
-		return
-	}
-	m.insts++
-	m.charge(t, costs[inst.Op])
-	if m.ctr != nil {
-		m.ctr.count(t.ID, inst)
-	}
-	if m.weak && len(t.sbuf) > 0 && opDrainsSB[inst.Op] {
-		// Fences, atomics, external calls, jump-table loads, and
-		// machine-stopping ops are drain points (weak.go).
-		m.drainSB(t)
-	}
-	next := pc + uint64(n)
-	t.PC = next // default; control flow overrides
-
-	switch inst.Op {
-	case mx.NOP:
-	case mx.MOVRR:
-		t.Regs[inst.Dst] = t.Regs[inst.Src]
-	case mx.MOVRI:
-		t.Regs[inst.Dst] = uint64(inst.Imm)
-	case mx.LEA:
-		t.Regs[inst.Dst] = t.ea(inst)
-	case mx.LEAIDX:
-		t.Regs[inst.Dst] = t.eaIdx(inst)
-	case mx.LOAD8:
-		if v, ok := m.loadMem(t, pc,t.ea(inst), 1, false); ok {
-			t.Regs[inst.Dst] = v
-		}
-	case mx.LOAD32:
-		if v, ok := m.loadMem(t, pc,t.ea(inst), 4, true); ok {
-			t.Regs[inst.Dst] = v
-		}
-	case mx.LOAD64:
-		if v, ok := m.loadMem(t, pc,t.ea(inst), 8, false); ok {
-			t.Regs[inst.Dst] = v
-		}
-	case mx.STORE8:
-		m.storeMem(t, pc,t.ea(inst), t.Regs[inst.Dst], 1)
-	case mx.STORE32:
-		m.storeMem(t, pc,t.ea(inst), t.Regs[inst.Dst], 4)
-	case mx.STORE64:
-		m.storeMem(t, pc,t.ea(inst), t.Regs[inst.Dst], 8)
-	case mx.STOREI8:
-		m.storeMem(t, pc,t.ea(inst), uint64(inst.Imm), 1)
-	case mx.STOREI32:
-		m.storeMem(t, pc,t.ea(inst), uint64(inst.Imm), 4)
-	case mx.STOREI64:
-		m.storeMem(t, pc,t.ea(inst), uint64(inst.Imm), 8)
-	case mx.LOADIDX8:
-		if v, ok := m.loadMem(t, pc,t.eaIdx(inst), 1, false); ok {
-			t.Regs[inst.Dst] = v
-		}
-	case mx.LOADIDX32:
-		if v, ok := m.loadMem(t, pc,t.eaIdx(inst), 4, true); ok {
-			t.Regs[inst.Dst] = v
-		}
-	case mx.LOADIDX64:
-		if v, ok := m.loadMem(t, pc,t.eaIdx(inst), 8, false); ok {
-			t.Regs[inst.Dst] = v
-		}
-	case mx.STOREIDX8:
-		m.storeMem(t, pc,t.eaIdx(inst), t.Regs[inst.Dst], 1)
-	case mx.STOREIDX32:
-		m.storeMem(t, pc,t.eaIdx(inst), t.Regs[inst.Dst], 4)
-	case mx.STOREIDX64:
-		m.storeMem(t, pc,t.eaIdx(inst), t.Regs[inst.Dst], 8)
-
-	case mx.ADDRR, mx.ADDRI:
-		a := t.Regs[inst.Dst]
-		b := m.aluSrc(t, inst)
-		r := a + b
-		t.setAddFlags(a, b, r)
-		t.Regs[inst.Dst] = r
-	case mx.SUBRR, mx.SUBRI:
-		a := t.Regs[inst.Dst]
-		b := m.aluSrc(t, inst)
-		r := a - b
-		t.setSubFlags(a, b, r)
-		t.Regs[inst.Dst] = r
-	case mx.CMPRR, mx.CMPRI:
-		a := t.Regs[inst.Dst]
-		b := m.aluSrc(t, inst)
-		t.setSubFlags(a, b, a-b)
-	case mx.ANDRR, mx.ANDRI:
-		r := t.Regs[inst.Dst] & m.aluSrc(t, inst)
-		t.setZS(r)
-		t.CF, t.OF = false, false
-		t.Regs[inst.Dst] = r
-	case mx.ORRR, mx.ORRI:
-		r := t.Regs[inst.Dst] | m.aluSrc(t, inst)
-		t.setZS(r)
-		t.CF, t.OF = false, false
-		t.Regs[inst.Dst] = r
-	case mx.XORRR, mx.XORRI:
-		r := t.Regs[inst.Dst] ^ m.aluSrc(t, inst)
-		t.setZS(r)
-		t.CF, t.OF = false, false
-		t.Regs[inst.Dst] = r
-	case mx.TESTRR, mx.TESTRI:
-		r := t.Regs[inst.Dst] & m.aluSrc(t, inst)
-		t.setZS(r)
-		t.CF, t.OF = false, false
-	case mx.SHLRR, mx.SHLRI:
-		r := t.Regs[inst.Dst] << (m.aluSrc(t, inst) & 63)
-		t.setZS(r)
-		t.Regs[inst.Dst] = r
-	case mx.SHRRR, mx.SHRRI:
-		r := t.Regs[inst.Dst] >> (m.aluSrc(t, inst) & 63)
-		t.setZS(r)
-		t.Regs[inst.Dst] = r
-	case mx.SARRR, mx.SARRI:
-		r := uint64(int64(t.Regs[inst.Dst]) >> (m.aluSrc(t, inst) & 63))
-		t.setZS(r)
-		t.Regs[inst.Dst] = r
-	case mx.IMULRR, mx.IMULRI:
-		r := uint64(int64(t.Regs[inst.Dst]) * int64(m.aluSrc(t, inst)))
-		t.setZS(r)
-		t.Regs[inst.Dst] = r
-	case mx.DIVRR:
-		d := int64(t.Regs[inst.Src])
-		if d == 0 {
-			m.faultf(t, pc, "integer divide by zero")
-			return
-		}
-		r := uint64(int64(t.Regs[inst.Dst]) / d)
-		t.setZS(r)
-		t.Regs[inst.Dst] = r
-	case mx.MODRR:
-		d := int64(t.Regs[inst.Src])
-		if d == 0 {
-			m.faultf(t, pc, "integer divide by zero")
-			return
-		}
-		r := uint64(int64(t.Regs[inst.Dst]) % d)
-		t.setZS(r)
-		t.Regs[inst.Dst] = r
-	case mx.NEG:
-		r := -t.Regs[inst.Dst]
-		t.setSubFlags(0, t.Regs[inst.Dst], r)
-		t.Regs[inst.Dst] = r
-	case mx.NOT:
-		t.Regs[inst.Dst] = ^t.Regs[inst.Dst]
-	case mx.SETCC:
-		if t.Eval(inst.Cc) {
-			t.Regs[inst.Dst] = 1
-		} else {
-			t.Regs[inst.Dst] = 0
-		}
-
-	case mx.JMP:
-		t.PC = next + uint64(int64(inst.Disp))
-	case mx.JCC:
-		if t.Eval(inst.Cc) {
-			t.PC = next + uint64(int64(inst.Disp))
-		} else if m.OnBlock != nil {
-			// Block-granularity tracing: the untaken edge also enters a
-			// block (the fallthrough), even though PC advances linearly.
-			m.OnBlock(t, next)
-		}
-	case mx.JMPR:
-		target := t.Regs[inst.Dst]
-		if m.OnIndirect != nil {
-			m.OnIndirect(t, pc, target, KindJump)
-		}
-		t.PC = target
-	case mx.JMPM:
-		slot := t.Regs[inst.Base] + t.Regs[inst.Idx]*8 + uint64(int64(inst.Disp))
-		target, ok := m.Mem.Load(slot, 8)
-		if !ok {
-			m.faultf(t, pc, "jump table load from unmapped %#x", slot)
-			return
-		}
-		if m.OnIndirect != nil {
-			m.OnIndirect(t, pc, target, KindJump)
-		}
-		t.PC = target
-	case mx.CALL:
-		if !m.push(t, next) {
-			return
-		}
-		t.PC = next + uint64(int64(inst.Disp))
-	case mx.CALLR:
-		target := t.Regs[inst.Dst]
-		if m.OnIndirect != nil {
-			m.OnIndirect(t, pc, target, KindCall)
-		}
-		if !m.push(t, next) {
-			return
-		}
-		t.PC = target
-	case mx.RET:
-		retAddr, ok := m.pop(t)
-		if !ok {
-			return
-		}
-		switch retAddr {
-		case magicThreadExit:
-			m.threadReturned(t)
-			return
-		case magicHostFrame:
-			m.resumeHostFrame(t)
-			return
-		}
-		if m.OnIndirect != nil {
-			m.OnIndirect(t, pc, retAddr, KindRet)
-		}
-		t.PC = retAddr
-	case mx.CALLX:
-		if int(inst.Ext) >= len(m.exts) || m.exts[inst.Ext] == nil {
-			m.faultf(t, pc, "call to unbound import #%d", inst.Ext)
-			return
-		}
-		m.charge(t, m.extCost[inst.Ext])
-		if err := m.exts[inst.Ext](m, t); err != nil {
-			m.faultf(t, pc, "external %q: %v", m.Img.Imports[inst.Ext], err)
-			return
-		}
-		if m.OnBlock != nil && t.PC == next && t.State == Runnable {
-			// The instruction after an external call starts a new block.
-			m.OnBlock(t, next)
-		}
-	case mx.SYSCALL:
-		m.faultf(t, pc, "raw syscall executed (unsupported)")
-	case mx.HLT:
-		m.exit(int(int64(t.Regs[mx.RDI])))
-	case mx.UD2:
-		m.faultf(t, pc, "ud2 executed")
-
-	case mx.PUSH:
-		m.push(t, t.Regs[inst.Dst])
-	case mx.POP:
-		if v, ok := m.pop(t); ok {
-			t.Regs[inst.Dst] = v
-		}
-
-	case mx.LOCKADD, mx.LOCKSUB, mx.LOCKAND, mx.LOCKOR, mx.LOCKXOR:
-		addr := t.ea(inst)
-		old, ok := m.loadMem(t, pc,addr, 8, false)
-		if !ok {
-			return
-		}
-		var r uint64
-		s := t.Regs[inst.Dst]
-		switch inst.Op {
-		case mx.LOCKADD:
-			r = old + s
-		case mx.LOCKSUB:
-			r = old - s
-		case mx.LOCKAND:
-			r = old & s
-		case mx.LOCKOR:
-			r = old | s
-		case mx.LOCKXOR:
-			r = old ^ s
-		}
-		if !m.storeMem(t, pc,addr, r, 8) {
-			return
-		}
-		t.setZS(r)
-	case mx.LOCKXADD:
-		addr := t.ea(inst)
-		old, ok := m.loadMem(t, pc,addr, 8, false)
-		if !ok {
-			return
-		}
-		if !m.storeMem(t, pc,addr, old+t.Regs[inst.Dst], 8) {
-			return
-		}
-		t.Regs[inst.Dst] = old
-	case mx.LOCKINC:
-		addr := t.ea(inst)
-		old, ok := m.loadMem(t, pc,addr, 8, false)
-		if !ok {
-			return
-		}
-		if !m.storeMem(t, pc,addr, old+1, 8) {
-			return
-		}
-		t.setZS(old + 1)
-	case mx.LOCKDEC:
-		addr := t.ea(inst)
-		old, ok := m.loadMem(t, pc,addr, 8, false)
-		if !ok {
-			return
-		}
-		if !m.storeMem(t, pc,addr, old-1, 8) {
-			return
-		}
-		t.setZS(old - 1)
-	case mx.XCHG:
-		addr := t.ea(inst)
-		old, ok := m.loadMem(t, pc,addr, 8, false)
-		if !ok {
-			return
-		}
-		if !m.storeMem(t, pc,addr, t.Regs[inst.Dst], 8) {
-			return
-		}
-		t.Regs[inst.Dst] = old
-	case mx.CMPXCHG:
-		addr := t.ea(inst)
-		old, ok := m.loadMem(t, pc,addr, 8, false)
-		if !ok {
-			return
-		}
-		if old == t.Regs[mx.RAX] {
-			if !m.storeMem(t, pc,addr, t.Regs[inst.Dst], 8) {
-				return
-			}
-			t.ZF = true
-		} else {
-			t.Regs[mx.RAX] = old
-			t.ZF = false
-		}
-	case mx.MFENCE:
-		// TSO machine: interpreter execution is sequentially consistent
-		// already. Weak machine: the store buffer drained above.
-
-	case mx.TLSBASE:
-		t.Regs[inst.Dst] = t.TLS
-
-	case mx.VLOAD:
-		addr := t.ea(inst)
-		for l := 0; l < mx.VectorWidth; l++ {
-			v, ok := m.loadMem(t, pc,addr+uint64(l*8), 8, false)
-			if !ok {
-				return
-			}
-			t.VRegs[inst.Dst][l] = v
-		}
-	case mx.VSTORE:
-		addr := t.ea(inst)
-		for l := 0; l < mx.VectorWidth; l++ {
-			if !m.storeMem(t, pc,addr+uint64(l*8), t.VRegs[inst.Dst][l], 8) {
-				return
-			}
-		}
-	case mx.VADD:
-		for l := 0; l < mx.VectorWidth; l++ {
-			t.VRegs[inst.Dst][l] += t.VRegs[inst.Src][l]
-		}
-	case mx.VMUL:
-		for l := 0; l < mx.VectorWidth; l++ {
-			t.VRegs[inst.Dst][l] = uint64(int64(t.VRegs[inst.Dst][l]) * int64(t.VRegs[inst.Src][l]))
-		}
-	case mx.VBCAST:
-		for l := 0; l < mx.VectorWidth; l++ {
-			t.VRegs[inst.Dst][l] = t.Regs[inst.Src]
-		}
-	case mx.VHADD:
-		var s uint64
-		for l := 0; l < mx.VectorWidth; l++ {
-			s += t.VRegs[inst.Src][l]
-		}
-		t.Regs[inst.Dst] = s
-
-	default:
-		m.faultf(t, pc, "unimplemented opcode %v", inst.Op)
-	}
-
-	if m.OnBlock != nil && t.PC != next && t.State == Runnable {
-		m.OnBlock(t, t.PC)
-	}
-}
-
-func (m *Machine) aluSrc(t *Thread, inst *mx.Inst) uint64 {
-	if mx.LayoutOf(inst.Op) == mx.LayoutRI {
-		return uint64(inst.Imm)
-	}
-	return t.Regs[inst.Src]
-}
+// push and pop access the stack slot in memory directly. In weak mode a
+// buffered store overlapping the slot would later overwrite a pushed value
+// or be missed by a pop, so they first drain a buffer holding one (weak.go).
 
 func (m *Machine) push(t *Thread, v uint64) bool {
 	t.Regs[mx.RSP] -= 8
+	m.drainOverlapping(t, t.Regs[mx.RSP])
 	if !m.Mem.store64(t.Regs[mx.RSP], v) {
 		m.faultf(t, t.PC, "stack overflow: push to unmapped %#x", t.Regs[mx.RSP])
 		return false
@@ -539,6 +122,7 @@ func (m *Machine) push(t *Thread, v uint64) bool {
 }
 
 func (m *Machine) pop(t *Thread) (uint64, bool) {
+	m.drainOverlapping(t, t.Regs[mx.RSP])
 	v, ok := m.Mem.load64(t.Regs[mx.RSP])
 	if !ok {
 		m.faultf(t, t.PC, "pop from unmapped %#x", t.Regs[mx.RSP])

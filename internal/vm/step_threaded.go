@@ -6,38 +6,36 @@ import (
 	"repro/internal/mx"
 )
 
-// This file implements the threaded-code dispatch engine: instead of one
-// switch per step (step.go), each predecoded page carries a handler pointer
-// per byte offset, so the hot loop is an indirect call per instruction —
-// Go's idiom for computed-goto dispatch. Three tiers stack on top of the
-// predecode cache:
+// This file implements the VM's one execution engine: threaded code over
+// predecoded pages. Each page carries a handler pointer per byte offset, so
+// dispatch is an indirect call per instruction — Go's idiom for
+// computed-goto dispatch — and opHandlers is the only definition of MX64
+// instruction semantics. Two loops run the handlers:
 //
-//   - per-opcode handlers: cp.disp[off].h(m, t, cp, inst, pc, next), with
-//     RR/RI layout variants specialized so the operand-source branch of
-//     aluSrc disappears from the hot path;
-//   - fused superinstructions: a flag-setting CMP/TEST/SUB immediately
-//     followed by a same-page JCC dispatches as one handler retiring two
-//     instructions (selected at compile() time);
-//   - block accounting: straight-line runs of "simple" instructions (no
-//     control transfer, no external call, no hook site) retire with one
-//     precomputed insts/cycles sum applied at the next flush point, with an
-//     exact per-prefix fallback when a run exits early on a fault, a
-//     scheduling-grant boundary, or a self-modifying-code invalidation.
+//   - stepBatchCounted, the per-step reference: one instruction per
+//     dispatch with eager accounting, run when machine counters are on;
+//   - stepBatchFast, run with counters off, which stacks three tiers on the
+//     handler table: flat runs of "simple" instructions (no control
+//     transfer, no external call, no hook site) through an inline micro-op
+//     table, retiring with one precomputed insts/cycles sum applied at the
+//     next flush point and an exact per-prefix fallback when a run exits
+//     early; inline same-page control flow; and fused CMP/TEST/SUB+JCC
+//     pairs (selected at compile() time).
 //
-// The contract is bit-identical semantics with stepThread: same faults at
-// the same PCs, same Counters, same hook call sites, and — because batching
-// is provably equivalent to the per-step scheduler fast path — the same
-// interleavings at every seed. Deviations are bugs; the differential matrix
-// in dispatch_test.go and fuzz_test.go is the enforcement.
+// The fast loop must match the per-step loop bit for bit: same faults at
+// the same PCs, same hook call sites, and — because batching is provably
+// equivalent to the per-step scheduler fast path — the same interleavings
+// at every seed. Deviations are bugs; the identity matrix in
+// dispatch_test.go and fuzz_test.go is the enforcement.
 
-// handler executes one predecoded instruction (or a fused pair). pc is the
+// handler executes one predecoded instruction. pc is the
 // instruction address, next the fallthrough address; t.PC == next on entry.
 // The return value is the "fallthrough" the batch loop compares t.PC against
 // for the generic OnBlock site: handlers that must suppress that check (host
 // frame resume, thread exit) return the final t.PC instead.
 type handler func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64
 
-// dispatchEnt is the per-offset threaded-dispatch record. It is packed to
+// dispatchEnt is the per-offset dispatch record. It is packed to
 // 16 bytes — handler, length, retire class, flat-run length, and precomputed
 // cost — so one entry load (four entries per cache line) gives the batch
 // loop everything it needs without touching lens, insts.Op, or costs[].
@@ -62,14 +60,16 @@ type dispatchEnt struct {
 	runCost uint32
 }
 
-// retire classes: how many instructions disp[off].h retires, plus the two
-// dispatches the batch loop must treat specially before calling the handler.
+// retire classes: how the fast loop retires disp[off]. The per-step loop
+// ignores them and calls h, which always retires exactly one instruction.
 const (
 	// retireFault marks a fetch hole or predecoded BAD instruction: the
 	// sentinel handler faults and retires nothing.
 	retireFault = iota
 	retireOne
-	// retireFused is a superinstruction retiring two instructions.
+	// retireFused is a fusable flag setter followed by a same-page JCC: the
+	// fast loop retires the pair inline, or the flag setter alone through
+	// h when its grant has one instruction left.
 	retireFused
 	// retireCallX is an external call: the one dispatch that must settle
 	// deferred accounting first (the clock external reads machine cycles).
@@ -85,8 +85,8 @@ const (
 	// site). The counted loop dispatches it generically through h.
 	retireJcc
 	// retireCall and retireRet mark direct same-page calls (non-zero
-	// displacement) and returns; the fast loop hand-inlines their
-	// stack-slot TLB probe and falls back to the generic handler for
+	// displacement) and returns on mx64 pages; the fast loop hand-inlines
+	// their stack-slot TLB probe and falls back to the generic handler for
 	// misses, watched stacks, and magic return addresses.
 	retireCall
 	retireRet
@@ -96,8 +96,9 @@ const (
 // simple opcodes execute through an inline jump table instead of an indirect
 // handler call, which is worth several cycles per instruction on the hot
 // path. mopCall (zero) falls back to disp.h. Each inline body must mirror
-// the corresponding handler exactly; the switch/threaded differential matrix
-// is the enforcement.
+// the corresponding handler exactly; the fast-vs-per-step identity matrix is
+// the enforcement. The memory micro-ops (mopLoad64 onward) access memory
+// directly and must stay last: weak pages turn them off by range.
 const (
 	mopCall = iota
 	mopMovRR
@@ -163,12 +164,13 @@ func init() {
 
 var (
 	opHandlers [mx.NumOps]handler
-	// fusedHandlers maps a flag-setting opcode to its op+JCC superinstruction
-	// handler; nil means the opcode does not fuse.
-	fusedHandlers [mx.NumOps]handler
 	// simpleOps marks instructions eligible for flat runs: always fall
 	// through, never call hooks or externals, never end the step loop.
 	simpleOps [mx.NumOps]bool
+	// fuses marks the flag-setting opcodes compile() fuses with a following
+	// same-page JCC; stepBatchFast inlines all six pairs.
+	fuses = [mx.NumOps]bool{mx.CMPRR: true, mx.CMPRI: true, mx.TESTRR: true,
+		mx.TESTRI: true, mx.SUBRR: true, mx.SUBRI: true}
 )
 
 func init() {
@@ -258,22 +260,28 @@ func init() {
 	reg(mx.VBCAST, hVbcast, true)
 	reg(mx.VHADD, hVhadd, true)
 
-	fusedHandlers[mx.CMPRR] = hFusedCmpRR
-	fusedHandlers[mx.CMPRI] = hFusedCmpRI
-	fusedHandlers[mx.TESTRR] = hFusedTestRR
-	fusedHandlers[mx.TESTRI] = hFusedTestRI
-	fusedHandlers[mx.SUBRR] = hFusedSubRR
-	fusedHandlers[mx.SUBRI] = hFusedSubRI
+	initWeakHandlers()
 }
 
 // compile fills the page's handler table and dispatch metadata from its
 // predecoded instructions: fusion selection first (a fused offset is not a
-// flat-run member — it retires two instructions through one handler), then a
+// flat-run member — the fast loop retires it and its JCC as a pair), then a
 // backward pass over fallthrough chains for flat-run lengths and block cycle
-// sums. Compilation is lazy — the switch engine never pays for it — and the
-// write-watch invalidation contract needs no extra work here: stores into
-// code drop the whole codePage, handler table, fusion choices and all.
-func (cp *codePage) compile() {
+// sums. The write-watch invalidation contract needs no extra work here:
+// stores into code drop the whole codePage, handler table, fusion choices
+// and all.
+//
+// weak is the machine's memory ordering, read once per page: weak pages
+// install weakHandlers and dispatch every memory access through them,
+// turning off the micro-ops and inline CALL/RET paths that touch memory
+// directly, so neither the fast loop nor the mx64 handlers check for a
+// store buffer (push and pop, below the stack-op handlers, test that t's
+// is empty).
+func (cp *codePage) compile(weak bool) {
+	handlers := &opHandlers
+	if weak {
+		handlers = &weakHandlers
+	}
 	for off := 0; off < pageSize; off++ {
 		d := &cp.disp[off]
 		n := int(cp.lens[off])
@@ -287,9 +295,12 @@ func (cp *codePage) compile() {
 			d.h, d.retire = hIllegal, retireFault
 			continue
 		}
-		d.h = opHandlers[op]
+		d.h = handlers[op]
 		d.retire = retireOne
 		d.mop = mopOf[op]
+		if weak && d.mop >= mopLoad64 {
+			d.mop = mopCall
+		}
 		d.runCost = uint32(costs[op])
 		if op == mx.CALLX {
 			d.retire = retireCallX
@@ -310,17 +321,18 @@ func (cp *codePage) compile() {
 			}
 			continue
 		case mx.CALL:
-			if tgt := int64(off) + int64(n) + int64(cp.insts[off].Disp); tgt >= 0 && tgt < pageSize && cp.insts[off].Disp != 0 {
+			if tgt := int64(off) + int64(n) + int64(cp.insts[off].Disp); !weak && tgt >= 0 && tgt < pageSize && cp.insts[off].Disp != 0 {
 				d.retire = retireCall
 			}
 			continue
 		case mx.RET:
-			d.retire = retireRet
+			if !weak {
+				d.retire = retireRet
+			}
 			continue
 		}
-		if f := fusedHandlers[op]; f != nil {
+		if fuses[op] {
 			if off2 := off + n; off2 < pageSize && cp.lens[off2] != 0 && cp.insts[off2].Op == mx.JCC {
-				d.h = f
 				d.retire = retireFused
 				d.runCost = uint32(costs[op] + costs[mx.JCC])
 			}
@@ -343,16 +355,16 @@ func (cp *codePage) compile() {
 }
 
 // stepBatch executes up to budget instructions of t's current scheduling
-// grant under threaded dispatch and returns how many retired. budget is the
+// grant and returns how many retired. budget is the
 // remainder of t's time slice (clamped to remaining fuel), so one batch is
 // equivalent to budget iterations of the per-step loop: the scheduler's
 // fast path grants exactly these picks without consuming randomness, and
 // the batch ends early exactly where the per-step loop would switch away
 // (fault, block, exit) or re-decide (preemption boundary).
 //
-// Counters mode dispatches per step — per-instruction fetch attribution
+// Counters mode runs the per-step loop — per-instruction fetch attribution
 // (ICache hits), opcode-class counts, and per-thread cycle deltas are part
-// of the Counters exactness contract — while the uninstrumented path defers
+// of the Counters exactness contract — while the fast loop defers
 // insts/cycles sums to flush points. The only mid-run observer of machine
 // totals is the clock external, so a flush is owed exactly before CALLX
 // (and at every batch exit, so Run and Result always see settled totals).
@@ -424,7 +436,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 			m.icBase, m.icPage = base, cp
 		}
 		if !cp.compiled {
-			cp.compile()
+			cp.compile(m.weak)
 		}
 		// Same-page dispatch loop: fall out to the outer loop only when
 		// control leaves the page or a store invalidated it.
@@ -612,8 +624,8 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					// Early exit (grant boundary, fault, or self-modifying-
 					// code invalidation): the executed prefix's cost is the
 					// chain's runCost minus the unexecuted suffix's. A
-					// faulting instruction is charged, matching stepThread's
-					// account-then-execute order.
+					// faulting instruction is charged, matching the per-step
+					// loop's account-then-execute order.
 					nxt := off + uint64(d.n)
 					pendC += uint64(cp.disp[start].runCost-cp.disp[nxt].runCost) + extra*uint64(k)
 				}
@@ -638,17 +650,15 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 
 			// Single dispatch: control flow, externals, fused pairs,
 			// fetch holes and illegal instructions.
-			h := d.h
-			k := 1
 			next := pc + uint64(d.n)
 			switch d.retire {
 			case retireFault:
 				// Sentinel: faults without retiring (and without moving
-				// t.PC, like a failed stepThread fetch).
+				// t.PC), as in the per-step loop.
 				m.insts += pendI
 				m.cycles += pendC
 				t.Cycles += pendC
-				h(m, t, cp, &cp.insts[off], pc, next)
+				d.h(m, t, cp, &cp.insts[off], pc, next)
 				return ran
 			case retireJmp:
 				// Same-page direct jump: no handler call, no fault or
@@ -773,7 +783,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 			case retireCallX:
 				// The external may read m.cycles (clock) and charges its
 				// own cost: settle all accounting through this instruction
-				// before it runs, in stepThread's order.
+				// before it runs, in the per-step loop's order.
 				m.insts += pendI + 1
 				m.cycles += pendC
 				t.Cycles += pendC
@@ -785,15 +795,12 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					// branch: they cannot fault, exit, block the thread,
 					// or write memory, so the generic post-dispatch
 					// checks reduce to the block hook and the page and
-					// budget checks. The six fused flag-setters are also
-					// inlined here (d.mop still holds the leading op's
-					// micro-op code), saving the handler and fuseJcc
-					// calls; the bodies mirror the hFused* handlers.
+					// budget checks. d.mop holds the leading op's
+					// micro-op code, one of the six fusable flag setters.
 					pendI += 2
 					pendC += uint64(d.runCost) + 2*extra
 					ran += 2
 					fi := &cp.insts[off]
-					inlined := true
 					switch d.mop {
 					case mopCmpRR:
 						a, b := t.Regs[fi.Dst], t.Regs[fi.Src]
@@ -819,29 +826,21 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 						r := a - b
 						t.setSubFlags(a, b, r)
 						t.Regs[fi.Dst] = r
-					default:
-						inlined = false
 					}
-					var fall uint64
-					if inlined {
-						// fuseJcc, inlined: the trailing JCC's untaken
-						// edge fires the block hook with PC at the
-						// fallthrough, the taken edge via the generic
-						// fall check below.
-						off2 := next & (pageSize - 1)
-						j := &cp.insts[off2]
-						fall = next + uint64(cp.lens[off2])
-						if t.Eval(j.Cc) {
-							t.PC = fall + uint64(int64(j.Disp))
-						} else {
-							t.PC = fall
-							if m.OnBlock != nil {
-								m.OnBlock(t, fall)
-							}
-						}
+					// The trailing JCC, as hJcc plus the generic taken-edge
+					// check: the block hook fires on the untaken edge with
+					// PC at the fallthrough, and on a taken edge that
+					// leaves it.
+					off2 := next & (pageSize - 1)
+					j := &cp.insts[off2]
+					fall := next + uint64(cp.lens[off2])
+					if t.Eval(j.Cc) {
+						t.PC = fall + uint64(int64(j.Disp))
 					} else {
-						t.PC = next
-						fall = h(m, t, cp, fi, pc, next)
+						t.PC = fall
+						if m.OnBlock != nil {
+							m.OnBlock(t, fall)
+						}
 					}
 					if t.PC != fall && m.OnBlock != nil {
 						m.OnBlock(t, t.PC)
@@ -858,21 +857,19 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					}
 					continue
 				}
-				// The fused pair would overrun the scheduling grant (or
-				// fuel); dispatch the leading instruction unfused so
-				// preemption and fuel boundaries stay bit-identical to
-				// per-step dispatch.
-				op := cp.insts[off].Op
-				h = opHandlers[op]
+				// The pair would overrun the scheduling grant (or fuel):
+				// d.h retires the leading instruction alone, so preemption
+				// and fuel boundaries stay where per-step dispatch puts
+				// them.
 				pendI++
-				pendC += costs[op] + extra
+				pendC += costs[cp.insts[off].Op] + extra
 			default:
 				pendI++
 				pendC += uint64(d.runCost) + extra
 			}
 			t.PC = next
-			fall := h(m, t, cp, &cp.insts[off], pc, next)
-			ran += k
+			fall := d.h(m, t, cp, &cp.insts[off], pc, next)
+			ran++
 			if m.fault != nil {
 				m.insts += pendI
 				m.cycles += pendC
@@ -906,10 +903,10 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 	return ran
 }
 
-// stepBatchCounted is the batch loop with machine counters enabled: every
-// instruction dispatches singly with eager accounting, replicating
-// stepThread's fetch/hit/class attribution bit for bit (fused pairs count
-// their second fetch as the ICache hit it would have been).
+// stepBatchCounted is the per-step reference loop, run when machine
+// counters are on: one unfused instruction per dispatch through d.h, with
+// eager accounting and per-fetch ICache attribution. The identity tests
+// compare stepBatchFast against it.
 func (m *Machine) stepBatchCounted(t *Thread, budget int) int {
 	ctr := m.ctr
 	ran := 0
@@ -931,38 +928,22 @@ func (m *Machine) stepBatchCounted(t *Thread, budget int) int {
 			ctr.ICacheHits++
 		}
 		if !cp.compiled {
-			cp.compile()
+			cp.compile(m.weak)
 		}
 		off := pc & (pageSize - 1)
 		d := &cp.disp[off]
+		inst := &cp.insts[off]
+		next := pc + uint64(d.n)
 		if d.retire == retireFault {
-			d.h(m, t, cp, &cp.insts[off], pc, pc+uint64(d.n))
+			d.h(m, t, cp, inst, pc, next)
 			return ran
 		}
-		inst := &cp.insts[off]
-		h := d.h
-		k := 1
-		if d.retire == retireFused {
-			if budget-ran < 2 {
-				h = opHandlers[inst.Op]
-			} else {
-				k = 2
-			}
-		}
-		next := pc + uint64(d.n)
 		m.insts++
 		m.charge(t, costs[inst.Op])
 		ctr.count(t.ID, inst)
-		if k == 2 {
-			inst2 := &cp.insts[next&(pageSize-1)]
-			m.insts++
-			m.charge(t, costs[inst2.Op])
-			ctr.ICacheHits++ // the pair's second fetch, same page by construction
-			ctr.count(t.ID, inst2)
-		}
 		t.PC = next
-		fall := h(m, t, cp, inst, pc, next)
-		ran += k
+		fall := d.h(m, t, cp, inst, pc, next)
+		ran++
 		if m.fault != nil {
 			return ran
 		}
@@ -978,14 +959,15 @@ func (m *Machine) stepBatchCounted(t *Thread, budget int) int {
 
 // ---- per-opcode handlers -------------------------------------------------
 //
-// Each handler is the corresponding stepThread case verbatim, with the
-// RR/RI source operand specialized away and `return` mapped to the
-// fallthrough contract described on the handler type.
+// One handler per opcode, with RR/RI source operands specialized into
+// separate handlers, defines MX64 semantics; weak pages swap in the
+// store-buffer variants of weakHandlers (weak.go) for memory accesses and
+// drain points.
 
-// Width-specialized loadMem/storeMem variants: handlers know their access
-// width statically, so the Memory TLB fast path inlines into the handler
-// body instead of going through the generic width-switched call chain.
-// Fault messages and counter attribution match loadMem/storeMem exactly.
+// mx64 memory accessors: handlers know their access width statically, so
+// the Memory TLB fast path inlines into the handler body instead of going
+// through the generic width-switched call chain. Fault messages and
+// counter attribution match the weak pages' loadMem/storeMem.
 
 func (m *Machine) loadMem8(t *Thread, pc, addr uint64) (uint64, bool) {
 	v, ok := m.Mem.load8(addr)
@@ -1440,7 +1422,7 @@ func hRet(m *Machine, t *Thread, _ *codePage, _ *mx.Inst, pc, next uint64) uint6
 	switch retAddr {
 	case magicThreadExit:
 		m.threadReturned(t)
-		// stepThread returns before its OnBlock site here; suppress ours.
+		// No block-hook site after a thread exit: suppress ours.
 		return t.PC
 	case magicHostFrame:
 		m.resumeHostFrame(t)
@@ -1697,70 +1679,4 @@ func hVhadd(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint
 	}
 	t.Regs[i.Dst] = s
 	return next
-}
-
-// ---- fused superinstructions ---------------------------------------------
-//
-// A flag-setting CMP/TEST/SUB whose fallthrough is a JCC in the same page
-// dispatches as one handler retiring both instructions. The pair can never
-// fault or block, and the leading op never writes memory, so the JCC read
-// from the (immutable) codePage is always consistent with what predecode
-// selected. fuseJcc mirrors the stepThread JCC case, including the
-// untaken-edge OnBlock call with PC already at the JCC's fallthrough.
-
-func fuseJcc(m *Machine, t *Thread, cp *codePage, next uint64) uint64 {
-	off2 := next & (pageSize - 1)
-	j := &cp.insts[off2]
-	next2 := next + uint64(cp.lens[off2])
-	if t.Eval(j.Cc) {
-		t.PC = next2 + uint64(int64(j.Disp))
-	} else {
-		t.PC = next2
-		if m.OnBlock != nil {
-			m.OnBlock(t, next2)
-		}
-	}
-	return next2
-}
-
-func hFusedCmpRR(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], t.Regs[i.Src]
-	t.setSubFlags(a, b, a-b)
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedCmpRI(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], uint64(i.Imm)
-	t.setSubFlags(a, b, a-b)
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedTestRR(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & t.Regs[i.Src]
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedTestRI(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & uint64(i.Imm)
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedSubRR(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], t.Regs[i.Src]
-	r := a - b
-	t.setSubFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedSubRI(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], uint64(i.Imm)
-	r := a - b
-	t.setSubFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return fuseJcc(m, t, cp, next)
 }

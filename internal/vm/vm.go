@@ -149,9 +149,6 @@ type Machine struct {
 	ctr  *Counters
 	sink *CounterSink
 
-	// dispatch engine (dispatch.go / step_threaded.go)
-	dispatch DispatchMode
-
 	// weak-ordering machine mode (weak.go), selected by the image's
 	// Machine field: plain stores buffer per thread until a drain point.
 	// sbOwner is the only thread with a nonempty store buffer (the buffer
@@ -161,11 +158,9 @@ type Machine struct {
 
 	// predecoded instruction cache (icache.go). icBase/icPage are the
 	// last-fetched page, the common case of straight-line execution.
-	nocache      bool
-	icache       map[uint64]*codePage
-	icBase       uint64
-	icPage       *codePage
-	uncachedInst mx.Inst // decode target of the -nocache fetch path
+	icache map[uint64]*codePage
+	icBase uint64
+	icPage *codePage
 
 	Out   bytes.Buffer
 	input []byte // consumed by input externals
@@ -254,8 +249,6 @@ func NewWithExts(img *image.Image, seed int64, exts map[string]ExtFunc) (*Machin
 	// Instruction fetch decodes from guest memory (loaded above), so guest
 	// stores into code pages are architecturally visible; watch the
 	// executable ranges so such stores invalidate the predecode cache.
-	m.nocache = NoCacheDefault
-	m.dispatch = DispatchDefault
 	m.weak = tgt.WeakOrder
 	m.icache = map[uint64]*codePage{}
 	m.icBase = noPage
@@ -401,10 +394,6 @@ func (m *Machine) pickThread() *Thread {
 // Run executes until clean exit, fault, deadlock, or the fuel limit (in
 // instructions) is exhausted.
 func (m *Machine) Run(fuel uint64) Result {
-	// Threaded dispatch needs predecoded pages; -nocache decodes per step
-	// and so always runs the switch engine, as does weak-ordering mode
-	// (the store buffer lives behind the switch engine's memory seam).
-	threaded := m.dispatch == DispatchThreaded && !m.nocache && !m.weak
 	m.runFuel = fuel
 	m.cancelCheck = 0
 	for !m.exited && m.fault == nil && m.insts < fuel {
@@ -431,10 +420,6 @@ func (m *Machine) Run(fuel uint64) Result {
 			}
 			m.fault = &Fault{Reason: "deadlock: no runnable threads"}
 			break
-		}
-		if !threaded {
-			m.stepThread(t)
-			continue
 		}
 		// One batch stands in for this pick plus every fast-path re-pick
 		// the scheduler would grant t before its slice expires: the fast

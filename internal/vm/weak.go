@@ -18,19 +18,24 @@ import (
 // drain points allow.
 //
 // Because the buffer always drains before any other thread executes an
-// instruction and before any host-visible access, every weak-mode execution
-// is observationally equivalent to a sequentially consistent interleaving —
-// the same guarantee the TSO machine gives — so a correctly fenced program
-// produces byte-identical output on both machines. What changes is the
-// contract: on this machine the *target's code generator* is responsible
-// for ordering (emitting real fence instructions), not the machine, which
-// is what makes emitted-fence counts and the fence-optimization pass
-// measurable (§3.4). Native PUSH/POP and instruction fetch write through
-// directly (stronger ordering than required, still correct).
+// instruction and before any external call reads guest memory, every
+// weak-mode execution is observationally equivalent to a sequentially
+// consistent interleaving — the same guarantee the TSO machine gives — so a
+// correctly fenced program produces byte-identical output on both machines.
+// What changes is the contract: on this machine the *target's code
+// generator* is responsible for ordering (emitting real fence
+// instructions), not the machine, which is what makes emitted-fence counts
+// and the fence-optimization pass measurable (§3.4).
 //
-// Weak mode always runs the switch dispatch engine: like -nocache, the
-// threaded engine's fused handlers bypass the loadMem/storeMem seam the
-// store buffer lives behind.
+// Weak mode runs on the same handler table as the TSO machine: compile()
+// installs weakHandlers on every page of a weak machine, so plain loads and
+// stores go through loadMem/storeMem below and drain points drain before
+// their plain handler runs. PUSH, POP, CALL, CALLR and RET access their
+// stack slot directly; push and pop drain the buffer first when it holds a
+// store overlapping the slot, so a later drain cannot overwrite a pushed
+// value and a pop cannot miss a buffered store. Instruction fetch reads
+// memory directly, which stays correct because stores into code write
+// through (storeMem).
 
 // sbCap is the store-buffer capacity in entries; reaching it drains the
 // whole buffer (modeling limited store-queue depth).
@@ -45,9 +50,10 @@ type sbEntry struct {
 
 // opDrainsSB marks opcodes that drain the executing thread's store buffer
 // before the instruction's own memory semantics run: fences (their whole
-// point), atomics (globally-visible ordering points on every machine),
-// external calls (the host reads guest memory directly), memory-indirect
-// jumps (the jump-table load bypasses loadMem), and machine-stopping ops.
+// point), atomics (globally-visible ordering points on every machine; after
+// the drain their plain handler commits the store to memory), external
+// calls (the host reads guest memory directly), memory-indirect jumps (the
+// jump-table load bypasses loadMem), and machine-stopping ops.
 var opDrainsSB = func() [mx.NumOps]bool {
 	var t [mx.NumOps]bool
 	for op := mx.Op(0); op < mx.NumOps; op++ {
@@ -94,12 +100,38 @@ func (t *Thread) sbLoad(addr uint64, w int) (val uint64, hit, overlap bool) {
 	return 0, false, false
 }
 
-// storeBuffered is storeMem's weak-mode path: validate the target (fault
-// attribution is identical to the direct path), then buffer the store.
-// Stores into watched executable ranges write through after a drain, so
+// loadMem and storeMem are the weak pages' memory accessors. A load
+// forwards the newest buffered store to exactly (addr, w) and drains the
+// buffer first on a partial overlap; 4-byte loads sign-extend, as every
+// MX64 32-bit load does. A store validates its target (fault
+// attribution is identical to a direct store) and is buffered; stores into
+// watched executable ranges drain and write through instead, so
 // self-modifying code invalidates the predecode cache at store time, in
 // program order.
-func (m *Machine) storeBuffered(t *Thread, pc, addr, v uint64, w int) bool {
+
+func (m *Machine) loadMem(t *Thread, pc, addr uint64, w int) (uint64, bool) {
+	if len(t.sbuf) > 0 {
+		if v, hit, overlap := t.sbLoad(addr, w); hit {
+			if w == 4 {
+				v = sx32(v)
+			}
+			return v, true
+		} else if overlap {
+			m.drainSB(t)
+		}
+	}
+	v, ok := m.Mem.Load(addr, w)
+	if !ok {
+		m.faultf(t, pc, "load from unmapped address %#x", addr)
+		return 0, false
+	}
+	if w == 4 {
+		v = sx32(v)
+	}
+	return v, true
+}
+
+func (m *Machine) storeMem(t *Thread, pc, addr, v uint64, w int) bool {
 	mem := m.Mem
 	if mem.onWrite != nil && addr < mem.watchHi && addr+uint64(w) > mem.watchLo {
 		m.drainSB(t)
@@ -127,4 +159,85 @@ func (m *Machine) storeBuffered(t *Thread, pc, addr, v uint64, w int) bool {
 		m.drainSB(t)
 	}
 	return true
+}
+
+// drainOverlapping drains t's buffer if it holds a store overlapping the
+// 8-byte slot at addr (push and pop, which access the stack directly).
+func (m *Machine) drainOverlapping(t *Thread, addr uint64) {
+	if len(t.sbuf) > 0 {
+		if _, hit, overlap := t.sbLoad(addr, 8); hit || overlap {
+			m.drainSB(t)
+		}
+	}
+}
+
+// weakHandlers is the handler table compile() installs on weak pages:
+// opHandlers with plain loads, stores and VLOAD/VSTORE routed through the
+// store buffer, and every opDrainsSB op draining before its plain handler.
+var weakHandlers [mx.NumOps]handler
+
+func initWeakHandlers() {
+	weakHandlers = opHandlers
+	for op, drains := range opDrainsSB {
+		if h := opHandlers[op]; drains {
+			weakHandlers[op] = func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64 {
+				m.drainSB(t)
+				return h(m, t, cp, i, pc, next)
+			}
+		}
+	}
+	// load and store build the plain and indexed forms at one width.
+	load := func(w int, idx bool) handler {
+		return func(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
+			addr := t.ea(i)
+			if idx {
+				addr = t.eaIdx(i)
+			}
+			if v, ok := m.loadMem(t, pc, addr, w); ok {
+				t.Regs[i.Dst] = v
+			}
+			return next
+		}
+	}
+	store := func(w int, idx, imm bool) handler {
+		return func(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
+			addr, v := t.ea(i), t.Regs[i.Dst]
+			if idx {
+				addr = t.eaIdx(i)
+			}
+			if imm {
+				v = uint64(i.Imm)
+			}
+			m.storeMem(t, pc, addr, v, w)
+			return next
+		}
+	}
+	// Each access kind's 8-, 32- and 64-bit opcodes are consecutive.
+	for k, w := range []int{1, 4, 8} {
+		weakHandlers[mx.LOAD8+mx.Op(k)] = load(w, false)
+		weakHandlers[mx.LOADIDX8+mx.Op(k)] = load(w, true)
+		weakHandlers[mx.STORE8+mx.Op(k)] = store(w, false, false)
+		weakHandlers[mx.STOREI8+mx.Op(k)] = store(w, false, true)
+		weakHandlers[mx.STOREIDX8+mx.Op(k)] = store(w, true, false)
+	}
+	weakHandlers[mx.VLOAD] = func(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
+		addr := t.ea(i)
+		for l := 0; l < mx.VectorWidth; l++ {
+			v, ok := m.loadMem(t, pc, addr+uint64(l*8), 8)
+			if !ok {
+				return next
+			}
+			t.VRegs[i.Dst][l] = v
+		}
+		return next
+	}
+	weakHandlers[mx.VSTORE] = func(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
+		addr := t.ea(i)
+		for l := 0; l < mx.VectorWidth; l++ {
+			if !m.storeMem(t, pc, addr+uint64(l*8), t.VRegs[i.Dst][l], 8) {
+				return next
+			}
+		}
+		return next
+	}
 }

@@ -4,14 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/mx"
 	"repro/internal/vm"
 )
 
 // Weak-ordering machine mode (weak.go): store-buffer forwarding semantics,
-// the observational-equivalence guarantee against the default machine, and
-// the fence/spill machine counters the cross-ISA bench reads.
+// the stack-op drain rule, the observational-equivalence guarantee against
+// the default machine, and the fence/spill machine counters the cross-ISA
+// bench reads. The identity matrix (dispatch_test.go) runs every workload
+// on both machines.
 
 // weakClone returns img tagged for the weakly-ordered machine mode.
 func weakClone(img *image.Image) *image.Image {
@@ -89,6 +92,46 @@ func TestWeakModeForwardingSemantics(t *testing.T) {
 	}
 }
 
+// TestWeakModeStackOpsDrainOverlappingStores pins the stack-op drain rule:
+// PUSH and POP access their slot in memory directly, so on mx64w they must
+// first drain a buffered store that overlaps the slot. In the push case a
+// plain store of 7 to [rsp-8] is still buffered when PUSH writes 42 to the
+// same slot, and the load of [rsp] must see 42 (without the drain it
+// forwards the stale 7). In the pop case a buffered store of 5 over the
+// pushed slot must reach POP (without the drain POP reads the pushed 42).
+func TestWeakModeStackOpsDrainOverlappingStores(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want int
+		body func(b *asm.Builder)
+	}{
+		{"push", 42, func(b *asm.Builder) {
+			b.MovRI(mx.RDX, 7)
+			b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RSP, Disp: -8})
+			b.MovRI(mx.RCX, 42)
+			b.I(mx.Inst{Op: mx.PUSH, Dst: mx.RCX})
+			b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RDI, Base: mx.RSP})
+		}},
+		{"pop", 5, func(b *asm.Builder) {
+			b.MovRI(mx.RCX, 42)
+			b.I(mx.Inst{Op: mx.PUSH, Dst: mx.RCX})
+			b.MovRI(mx.RDX, 5)
+			b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RSP})
+			b.I(mx.Inst{Op: mx.POP, Dst: mx.RDI})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := build(t, func(b *asm.Builder) {
+				b.Entry("main")
+				b.Label("main")
+				tc.body(b)
+				b.CallExt("exit")
+			})
+			mustExit(t, checkMatrix(t, img, 1, core.Input{}, 1_000, cells), tc.want)
+		})
+	}
+}
+
 // TestWeakModeMatchesDefaultOnThreadedWorkload runs the 4-thread lock-add
 // workload on both machines at several seeds: the weak machine drains the
 // store buffer before any other thread executes, so every execution stays
@@ -145,14 +188,14 @@ func TestCountersFenceAndSpillAccounting(t *testing.T) {
 		b.MovRR(mx.RBP, mx.RSP)
 		b.I(mx.Inst{Op: mx.SUBRI, Dst: mx.RSP, Imm: 32})
 		b.MovRI(mx.RDX, 41)
-		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBP, Disp: -8})  // spill
+		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBP, Disp: -8}) // spill
 		b.I(mx.Inst{Op: mx.MFENCE})
-		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RAX, Base: mx.RBP, Disp: -8})   // spill
-		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBP, Disp: -16})  // spill
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RAX, Base: mx.RBP, Disp: -8})  // spill
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBP, Disp: -16}) // spill
 		b.I(mx.Inst{Op: mx.MFENCE})
 		b.MovSym(mx.RBX, "g")
-		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBX})            // control: global base
-		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBX, Disp: 8})    // control: positive disp
+		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBX})         // control: global base
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBX, Disp: 8}) // control: positive disp
 		b.MovRR(mx.RDI, mx.RAX)
 		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.RDI, Imm: 1})
 		b.CallExt("exit")
