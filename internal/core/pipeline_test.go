@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/image"
+	"repro/internal/workloads"
 )
 
 func marshalImg(t *testing.T, img *image.Image) []byte {
@@ -100,6 +101,38 @@ func TestRecompileIdentityAcrossWorkersAndCache(t *testing.T) {
 				t.Fatal("LiftOptWall not recorded")
 			}
 		})
+	}
+}
+
+// TestRecompileDeterministicAcrossRuns recompiles the same image from
+// scratch several times per target and requires identical bytes each time.
+// Both workloads have loops whose in-loop virtual-register stores the
+// optimizer sinks to the loop exits, so the test fails if the order of that
+// sinking depends on Go map iteration.
+func TestRecompileDeterministicAcrossRuns(t *testing.T) {
+	for _, name := range []string{"linear_regression", "astar_like"} {
+		w := workloads.ByName(name)
+		if w == nil {
+			t.Fatalf("workload %s not found", name)
+		}
+		img, err := w.Compile(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range []string{"mx64", "mx64w"} {
+			var first []byte
+			for run := 0; run < 4; run++ {
+				_, got := recompileWith(t, img, func(o *core.Options) {
+					o.Target = target
+					o.NoFuncCache = true
+				})
+				if run == 0 {
+					first = got
+				} else if !bytes.Equal(first, got) {
+					t.Fatalf("%s O2 %s: run %d diverged from run 0", name, target, run)
+				}
+			}
+		}
 	}
 }
 

@@ -418,16 +418,25 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 		}
 	}
 	for _, l := range loops {
-		// Bail on barriers or returns anywhere in the loop.
+		// Bail on barriers or returns anywhere in the loop. Blocks are
+		// walked in function order and globals sunk in first-store order,
+		// so flushes and phis are created in the same order on every run.
 		clean := true
 		storesByG := map[*ir.Global][]*ir.Value{}
 		loadsByG := map[*ir.Global]bool{}
-		for blk := range l.Blocks {
+		var stored []*ir.Global
+		for _, blk := range f.Blocks {
+			if !l.Blocks[blk] {
+				continue
+			}
 			for _, v := range blk.Insts {
 				switch {
 				case isVRegBarrier(v) || v.Op == ir.OpRet:
 					clean = false
 				case v.Op == ir.OpVRegStore:
+					if storesByG[v.Global] == nil {
+						stored = append(stored, v.Global)
+					}
 					storesByG[v.Global] = append(storesByG[v.Global], v)
 				case v.Op == ir.OpVRegLoad:
 					loadsByG[v.Global] = true
@@ -437,7 +446,8 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 		if !clean {
 			continue
 		}
-		for g, stores := range storesByG {
+		for _, g := range stored {
+			stores := storesByG[g]
 			if loadsByG[g] {
 				continue
 			}

@@ -16,7 +16,8 @@ const (
 const tlbSize = 64
 
 // tlbEntry caches one positive page translation. pg == nil marks an empty
-// slot; only mapped pages are cached, so a hit never needs re-validation.
+// slot; only materialized pages are cached, so a hit never needs
+// re-validation.
 type tlbEntry struct {
 	base uint64
 	pg   []byte
@@ -26,14 +27,18 @@ type tlbEntry struct {
 // a machine share one Memory; per-thread stacks are just disjoint regions of
 // it, which is what makes stack-escape and false-sharing hazards expressible.
 type Memory struct {
+	// pages holds every mapped page. Pages are demand-zero: Map reserves a
+	// page with a nil entry, and page() materializes it (allocates it
+	// zeroed) on first touch, so a 1 MiB stack the guest barely uses costs
+	// a few pages, not 256.
 	pages map[uint64][]byte
 
 	// tlb is a direct-mapped translation cache in front of pages, so the
 	// hot fetch/load/store paths index an array instead of hashing into a
-	// map. Only positive translations are cached, and the address space
-	// has no unmap operation (Machine.Free recycles blocks without
-	// unmapping), so entries never go stale; Map inserts through page(),
-	// which refreshes the corresponding entry in place.
+	// map. Only materialized pages are cached, and the address space has
+	// no unmap operation (Machine.Free recycles blocks without unmapping),
+	// so entries never go stale. Map does not touch it: a reserved page
+	// enters the TLB when page() first materializes it.
 	tlb [tlbSize]tlbEntry
 
 	// onWrite, when set, is called with the base of every page written
@@ -102,6 +107,9 @@ func (m *Memory) noteWrite(addr, end uint64) {
 	}
 }
 
+// page translates addr to its page and offset, materializing a reserved
+// page on first touch. An unmapped page is created when create is set (only
+// WriteBytes maps as it goes) and reported as nil otherwise.
 func (m *Memory) page(addr uint64, create bool) ([]byte, uint64) {
 	base := addr &^ (pageSize - 1)
 	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
@@ -115,8 +123,8 @@ func (m *Memory) page(addr uint64, create bool) ([]byte, uint64) {
 		m.ctr.TLBMisses++
 	}
 	p, ok := m.pages[base]
-	if !ok {
-		if !create {
+	if p == nil {
+		if !ok && !create {
 			return nil, 0
 		}
 		p = make([]byte, pageSize)
@@ -126,9 +134,9 @@ func (m *Memory) page(addr uint64, create bool) ([]byte, uint64) {
 	return p, addr - base
 }
 
-// Mapped reports whether every byte of [addr, addr+n) is mapped. An empty
-// range is trivially mapped; a range that wraps the top of the address space
-// is not.
+// Mapped reports whether every byte of [addr, addr+n) is mapped, reserved
+// pages included. An empty range is trivially mapped; a range that wraps the
+// top of the address space is not.
 func (m *Memory) Mapped(addr, n uint64) bool {
 	if n == 0 {
 		return true
@@ -147,9 +155,10 @@ func (m *Memory) Mapped(addr, n uint64) bool {
 	}
 }
 
-// Map ensures [addr, addr+n) is mapped (zero-filled where new). A range that
-// would wrap the top of the address space is clamped to it, so mapping the
-// last page terminates instead of walking the whole address space.
+// Map ensures [addr, addr+n) is mapped. New pages are only reserved: they
+// read as zero, and page() allocates each one on its first touch. A range
+// that would wrap the top of the address space is clamped to it, so mapping
+// the last page terminates instead of walking the whole address space.
 func (m *Memory) Map(addr, n uint64) {
 	if n == 0 {
 		return
@@ -159,7 +168,9 @@ func (m *Memory) Map(addr, n uint64) {
 		last = ^uint64(0)
 	}
 	for a := addr &^ (pageSize - 1); ; a += pageSize {
-		m.page(a, true)
+		if _, ok := m.pages[a]; !ok {
+			m.pages[a] = nil
+		}
 		if a == last&^(pageSize-1) {
 			break
 		}

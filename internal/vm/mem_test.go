@@ -3,6 +3,9 @@ package vm
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/mx"
 )
 
 func TestMappedZeroLength(t *testing.T) {
@@ -143,9 +146,9 @@ func TestWriteWatch(t *testing.T) {
 	if len(hits) != 0 {
 		t.Fatalf("unwatched store fired %v", hits)
 	}
-	m.Store(0x2008, 1, 8) // inside
+	m.Store(0x2008, 1, 8)                 // inside
 	m.WriteBytes(0x2ffc, make([]byte, 8)) // straddles 0x2000->0x3000
-	m.Store(0x4800, 1, 8) // above
+	m.Store(0x4800, 1, 8)                 // above
 	want := []uint64{0x2000, 0x2000, 0x3000}
 	if len(hits) != len(want) {
 		t.Fatalf("watch hits = %v, want %v", hits, want)
@@ -153,6 +156,105 @@ func TestWriteWatch(t *testing.T) {
 	for i := range want {
 		if hits[i] != want[i] {
 			t.Fatalf("watch hits = %v, want %v", hits, want)
+		}
+	}
+}
+
+// materialized counts the allocated pages of m in [lo, hi).
+func materialized(m *Memory, lo, hi uint64) int {
+	n := 0
+	for base, pg := range m.pages {
+		if pg != nil && base >= lo && base < hi {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMapIsDemandZero pins demand-zero paging: Map reserves without
+// allocating, reserved pages count as mapped and read as zero, a store
+// materializes exactly the page it touches, and the end of the mapping
+// still faults.
+func TestMapIsDemandZero(t *testing.T) {
+	m := NewMemory()
+	const base, size = uint64(0x10_0000), uint64(1 << 20)
+	m.Map(base, size)
+	if n := materialized(m, 0, ^uint64(0)); n != 0 {
+		t.Fatalf("Map of 1 MiB materialized %d page(s), want 0", n)
+	}
+	if !m.Mapped(base, size) {
+		t.Fatal("reserved range reported unmapped")
+	}
+	if !m.Store(base+3*pageSize+8, 0xabcd, 8) {
+		t.Fatal("store into reserved page failed")
+	}
+	if n := materialized(m, 0, ^uint64(0)); n != 1 {
+		t.Fatalf("one store materialized %d page(s), want 1", n)
+	}
+	if v, ok := m.Load(base+7*pageSize+16, 8); !ok || v != 0 {
+		t.Fatalf("load from untouched page = %#x, %v; want 0, true", v, ok)
+	}
+	if v, ok := m.Load(base+3*pageSize+8, 8); !ok || v != 0xabcd {
+		t.Fatalf("load back = %#x, %v; want 0xabcd, true", v, ok)
+	}
+	if m.Store(base+size, 1, 8) {
+		t.Fatal("store one page past the mapping succeeded")
+	}
+	if m.Mapped(base+size, 1) {
+		t.Fatal("page past the mapping reported mapped")
+	}
+}
+
+// TestThreadStacksDemandZero runs a program that spawns and joins two
+// threads: each thread's 1 MiB stack must end with only the pages its
+// frames touched allocated, not all 256.
+func TestThreadStacksDemandZero(t *testing.T) {
+	b := asm.NewBuilder("t")
+	b.BSS("tids", 16)
+	b.Entry("main")
+	b.Label("main")
+	b.MovRI(mx.R12, 0)
+	b.Label("spawn")
+	b.I(mx.Inst{Op: mx.CMPRI, Dst: mx.R12, Imm: 2})
+	b.Jcc(mx.CondGE, "joins")
+	b.MovSym(mx.RDI, "worker")
+	b.MovRR(mx.RSI, mx.R12)
+	b.CallExt("thread_create")
+	b.MovSym(mx.RBX, "tids")
+	b.I(mx.Inst{Op: mx.STOREIDX64, Dst: mx.RAX, Base: mx.RBX, Idx: mx.R12, Scale: 8})
+	b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.R12, Imm: 1})
+	b.Jmp("spawn")
+	b.Label("joins")
+	b.MovSym(mx.RBX, "tids")
+	b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RDI, Base: mx.RBX})
+	b.CallExt("thread_join")
+	b.MovSym(mx.RBX, "tids")
+	b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RDI, Base: mx.RBX, Disp: 8})
+	b.CallExt("thread_join")
+	b.MovRI(mx.RAX, 0)
+	b.Ret()
+	b.Label("worker")
+	b.I(mx.Inst{Op: mx.PUSH, Dst: mx.RDI})
+	b.I(mx.Inst{Op: mx.POP, Dst: mx.RAX})
+	b.Ret()
+	img, _, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(img, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := m.Run(1_000_000); res.Fault != nil || res.ExitCode != 0 {
+		t.Fatalf("run: exit %d, fault %v", res.ExitCode, res.Fault)
+	}
+	if len(m.Threads()) != 3 {
+		t.Fatalf("%d threads, want 3", len(m.Threads()))
+	}
+	for _, th := range m.Threads() {
+		if n := materialized(m.Mem, th.StackLo, th.StackLo+stackSize); n > 2 {
+			t.Errorf("thread %d: stack materialized %d of %d pages, want at most 2",
+				th.ID, n, stackSize/pageSize)
 		}
 	}
 }

@@ -132,11 +132,16 @@ func (m *Machine) pop(t *Thread) (uint64, bool) {
 	return v, true
 }
 
-// resumeHostFrame re-enters the topmost suspended host state machine.
+// resumeHostFrame re-enters the topmost suspended host state machine. The
+// frame reads and writes guest memory directly (qsort's swaps), so a weak
+// machine first drains the store buffer, as it does before an external call.
 func (m *Machine) resumeHostFrame(t *Thread) {
 	if len(t.hostFrames) == 0 {
 		m.faultf(t, t.PC, "return to host frame with no frame pending")
 		return
+	}
+	if m.weak {
+		m.drainSB(t)
 	}
 	fr := t.hostFrames[len(t.hostFrames)-1]
 	done, err := fr.frame.resume(m, t, t.Regs[mx.RAX])

@@ -9,19 +9,20 @@ import (
 // An image whose Machine field names a weakly-ordered target runs with a
 // per-thread FIFO store buffer: plain stores are buffered and become
 // globally visible only when the buffer drains. Drains happen at every
-// fence, atomic, external call, jump-table load, syscall/halt, when the
-// buffer reaches capacity, and — crucially — whenever the scheduler runs a
-// different thread. The running thread forwards its own buffered stores to
-// its own loads (exact-match store-to-load forwarding; partially
-// overlapping loads drain first), so single-threaded semantics are
-// unchanged, while unfenced cross-thread visibility is exactly what the
-// drain points allow.
+// fence, atomic, external call, jump-table load, syscall/halt, return into
+// a host frame (resumeHostFrame), when the buffer reaches capacity, and —
+// crucially — whenever the scheduler runs a different thread. The running
+// thread forwards its own buffered stores to its own loads (exact-match
+// store-to-load forwarding; partially overlapping loads drain first), so
+// single-threaded semantics are unchanged, while unfenced cross-thread
+// visibility is exactly what the drain points allow.
 //
 // Because the buffer always drains before any other thread executes an
-// instruction and before any external call reads guest memory, every
-// weak-mode execution is observationally equivalent to a sequentially
-// consistent interleaving — the same guarantee the TSO machine gives — so a
-// correctly fenced program produces byte-identical output on both machines.
+// instruction and before host code touches guest memory (an external call,
+// or a host frame resumed when a guest callback returns), every weak-mode
+// execution is observationally equivalent to a sequentially consistent
+// interleaving — the same guarantee the TSO machine gives — so a correctly
+// fenced program produces byte-identical output on both machines.
 // What changes is the contract: on this machine the *target's code
 // generator* is responsible for ordering (emitting real fence
 // instructions), not the machine, which is what makes emitted-fence counts
@@ -141,7 +142,12 @@ func (m *Machine) storeMem(t *Thread, pc, addr, v uint64, w int) bool {
 		}
 		return true
 	}
-	if !mem.Mapped(addr, uint64(w)) {
+	// A TLB hit proves the target mapped without walking pages; the probe
+	// counts nothing, as buffering translates nothing (the drain does).
+	e := &mem.tlb[(addr>>pageShift)&(tlbSize-1)]
+	off := addr & (pageSize - 1)
+	hit := e.pg != nil && e.base == addr-off && off+uint64(w) <= pageSize
+	if !hit && !mem.Mapped(addr, uint64(w)) {
 		m.faultf(t, pc, "store to unmapped address %#x", addr)
 		return false
 	}

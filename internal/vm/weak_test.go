@@ -132,6 +132,49 @@ func TestWeakModeStackOpsDrainOverlappingStores(t *testing.T) {
 	}
 }
 
+// TestWeakModeHostFrameResumeDrains sorts with a guest comparator that
+// stores *a back before returning *a - *b. The comparator RETs into qsort's
+// host frame, which swaps elements through guest memory directly; the weak
+// machine must drain the comparator's buffered store before the swap, or a
+// later drain writes the stale *a over the swapped slot. The program exits
+// with sum((i+1)*arr[i]) over the sorted array, 225, in every cell.
+func TestWeakModeHostFrameResumeDrains(t *testing.T) {
+	img := build(t, func(b *asm.Builder) {
+		b.DataLabel("arr")
+		for _, v := range []uint64{5, 3, 8, 1, 9, 2, 7, 4} {
+			b.DataQuad(v)
+		}
+		b.Entry("main")
+		b.Label("main")
+		b.MovSym(mx.RDI, "arr")
+		b.MovRI(mx.RSI, 8)
+		b.MovRI(mx.RDX, 8)
+		b.MovSym(mx.RCX, "cmp")
+		b.CallExt("qsort")
+		b.MovSym(mx.RBX, "arr")
+		b.MovRI(mx.RDI, 0)
+		b.MovRI(mx.R12, 0)
+		b.Label("sum")
+		b.I(mx.Inst{Op: mx.CMPRI, Dst: mx.R12, Imm: 8})
+		b.Jcc(mx.CondGE, "done")
+		b.I(mx.Inst{Op: mx.LOADIDX64, Dst: mx.RAX, Base: mx.RBX, Idx: mx.R12, Scale: 8})
+		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.R12, Imm: 1})
+		b.I(mx.Inst{Op: mx.IMULRR, Dst: mx.RAX, Src: mx.R12})
+		b.I(mx.Inst{Op: mx.ADDRR, Dst: mx.RDI, Src: mx.RAX})
+		b.Jmp("sum")
+		b.Label("done")
+		b.CallExt("exit")
+
+		b.Label("cmp")
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RAX, Base: mx.RDI})
+		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RAX, Base: mx.RDI})
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RSI})
+		b.I(mx.Inst{Op: mx.SUBRR, Dst: mx.RAX, Src: mx.RCX})
+		b.Ret()
+	})
+	mustExit(t, checkMatrix(t, img, 1, core.Input{}, 1_000_000, cells), 225)
+}
+
 // TestWeakModeMatchesDefaultOnThreadedWorkload runs the 4-thread lock-add
 // workload on both machines at several seeds: the weak machine drains the
 // store buffer before any other thread executes, so every execution stays
