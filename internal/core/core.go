@@ -719,15 +719,18 @@ func (p *Project) PruneCallbacks(inputs []Input) error {
 }
 
 // FenceOptimize runs the spinloop-detection pipeline (§3.4): instrument the
-// lifted module, run the instrumented recompiled binary over the inputs,
-// analyze every loop, and — only if the whole program is proven free of
-// implicit synchronization — enable fence removal for subsequent
-// recompilations. It returns the analysis report.
+// lifted module, optimize it, run the instrumented recompiled binary over
+// the inputs, analyze every loop, and — only if the whole program is proven
+// free of implicit synchronization — enable fence removal for subsequent
+// recompilations. It returns the analysis report. Each instrumented run
+// records a spindet/instrumented-run span.
 func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
-	// Build the instrumented binary from a fresh lift (no optimization:
-	// instrumentation must see every site). The configured target applies
-	// here too: the instrumented binary runs under the same machine mode the
-	// production recompile will.
+	// Instrument a fresh lift, so every original-program site gets its
+	// recording call, then optimize: the calls are side effects every pass
+	// keeps, so the recording is the one the raw lift would give, in fewer
+	// guest instructions. The configured target applies here too: the
+	// instrumented binary runs under the same machine mode the production
+	// recompile will.
 	lf, err := p.lift()
 	if err != nil {
 		return nil, err
@@ -737,6 +740,10 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 		return nil, fmt.Errorf("core: unknown target %q", p.Opts.Target)
 	}
 	spindet.Instrument(lf.Mod)
+	optOpts := opt.Options{Verify: p.Opts.VerifyIR, Obs: p.Opts.Obs, ObsTID: p.obsTID()}
+	if err := opt.Run(lf.Mod, optOpts); err != nil {
+		return nil, err
+	}
 	res, err := lower.LowerWithOptions(lf, lower.Options{Target: tgt})
 	if err != nil {
 		return nil, err
@@ -745,7 +752,7 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 	if len(inputs) == 0 {
 		inputs = []Input{{Seed: p.Opts.Seed}}
 	}
-	for _, in := range inputs {
+	for ri, in := range inputs {
 		exts := map[string]vm.ExtFunc{}
 		for k, v := range in.Exts {
 			exts[k] = v
@@ -761,7 +768,10 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 		if in.Data != nil {
 			m.SetInput(in.Data)
 		}
+		sites := len(recorder.Recording().Sites)
+		sp := p.Opts.Obs.Begin(p.obsTID(), "spindet", "instrumented-run", obs.Arg{Key: "run", Val: ri})
 		r := m.Run(p.Opts.Fuel)
+		sp.Arg("insts", r.Insts).Arg("sites", len(recorder.Recording().Sites)-sites).End()
 		if r.Fault != nil {
 			if cerr := p.cancelErr(r, "instrumented run"); cerr != nil {
 				return nil, cerr
@@ -776,7 +786,7 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opt.Run(lf2.Mod, opt.Options{Verify: p.Opts.VerifyIR, Obs: p.Opts.Obs, ObsTID: p.obsTID()}); err != nil {
+	if err := opt.Run(lf2.Mod, optOpts); err != nil {
 		return nil, err
 	}
 	p.lastRecording = recorder.Recording()

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -123,6 +125,64 @@ func TestObsAdditiveTimeline(t *testing.T) {
 	}
 	if guests != loops {
 		t.Errorf("guest-run spans = %d, want %d (one per additive loop)", guests, loops)
+	}
+}
+
+// TestObsFenceOptimizeInstrumentedRuns checks the spinloop-detection
+// span: FenceOptimize records one spindet/instrumented-run span per input,
+// carrying the guest instructions the run executed, and closes it on the
+// success path and on a cancelled run alike.
+func TestObsFenceOptimizeInstrumentedRuns(t *testing.T) {
+	tr := obs.New()
+	o := options()
+	o.Obs = tr
+	p, err := core.NewProject(compile(t, threadedSrc, 2), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []core.Input{{Seed: 1}, {Seed: 2}}
+	if _, err := p.FenceOptimize(inputs); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.OpenSpans(); n != 0 {
+		t.Fatalf("%d span(s) still open after FenceOptimize", n)
+	}
+	var runs int
+	for _, ev := range tr.Events() {
+		if ev.Cat != "spindet" || ev.Name != "instrumented-run" {
+			continue
+		}
+		args := map[string]any{}
+		for _, a := range ev.Args {
+			args[a.Key] = a.Val
+		}
+		if args["run"] != runs {
+			t.Errorf("span %d: run = %v", runs, args["run"])
+		}
+		if n, _ := args["insts"].(uint64); n == 0 {
+			t.Errorf("span %d: insts = %v, want > 0", runs, args["insts"])
+		}
+		if _, ok := args["sites"].(int); !ok {
+			t.Errorf("span %d: sites = %v, want an int", runs, args["sites"])
+		}
+		runs++
+	}
+	if runs != len(inputs) {
+		t.Fatalf("instrumented-run spans = %d, want one per input (%d)", runs, len(inputs))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o.Ctx = ctx
+	p, err = core.NewProject(compile(t, longLoopSrc, 2), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.FenceOptimize(nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled FenceOptimize err = %v, want context.Canceled", err)
+	}
+	if n := tr.OpenSpans(); n != 0 {
+		t.Fatalf("%d span(s) still open after a cancelled FenceOptimize", n)
 	}
 }
 

@@ -142,7 +142,8 @@ type Loop struct {
 	Blocks map[*Block]bool
 	// Latches are the blocks with back edges to the header.
 	Latches []*Block
-	// Exits are (block in loop -> successor outside loop) edges.
+	// Exits are (block in loop -> successor outside loop) edges, in
+	// reverse postorder of their source blocks.
 	Exits []LoopExit
 }
 
@@ -193,7 +194,12 @@ func (d *DomTree) FindLoops() []*Loop {
 	var loops []*Loop
 	for _, h := range order {
 		l := byHeader[h]
-		for b := range l.Blocks {
+		// Walk the blocks in order, not the map: analyses that stop at the
+		// first qualifying exit must pick the same one on every run.
+		for _, b := range d.Order {
+			if !l.Blocks[b] {
+				continue
+			}
 			for _, s := range b.Succs() {
 				if !l.Blocks[s] {
 					l.Exits = append(l.Exits, LoopExit{From: b, To: s})

@@ -191,8 +191,11 @@ func (r *Recorder) Exts() map[string]vm.ExtFunc {
 
 // Instrument inserts a __polynima_recmem call before every original-program
 // memory access site (loads, stores, atomics) of the module. It returns the
-// number of instrumented sites. Instrument the freshly lifted module — the
-// instrumented build only records; its performance is irrelevant.
+// number of instrumented sites. Instrument the freshly lifted module, then
+// optimize it if the build should run fast: each recording call is an
+// external call, which no pass removes, merges or moves a memory access
+// across, so every executed site still reports the same addresses, and the
+// site IDs stay those of the fresh lift that Analyze looks up.
 func Instrument(m *ir.Module) int {
 	n := 0
 	for _, f := range m.Funcs {
@@ -275,8 +278,14 @@ func Analyze(m *ir.Module, rec *Recording) *Report {
 func analyzeLoop(f *ir.Func, l *ir.Loop, rec *Recording) LoopVerdict {
 	v := LoopVerdict{Func: f.Name, Header: l.Header.OrigAddr, Covered: true}
 
-	// Coverage: every site inside the loop must have been observed.
-	for b := range l.Blocks {
+	// Coverage: every site inside the loop must have been observed. Blocks
+	// are walked in function order, so Reason names the same site, the
+	// first uncovered one, on every run.
+coverage:
+	for _, b := range f.Blocks {
+		if !l.Blocks[b] {
+			continue
+		}
 		for _, in := range b.Insts {
 			if in.SiteID == 0 {
 				continue
@@ -284,6 +293,7 @@ func analyzeLoop(f *ir.Func, l *ir.Loop, rec *Recording) LoopVerdict {
 			if r := rec.Sites[in.SiteID]; r == nil || r.Class == ClassUnseen {
 				v.Covered = false
 				v.Reason = fmt.Sprintf("site %d at %#x not covered by the provided inputs", in.SiteID, in.OrigPC)
+				break coverage
 			}
 		}
 	}

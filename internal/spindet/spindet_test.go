@@ -1,6 +1,7 @@
 package spindet_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cc"
@@ -223,5 +224,43 @@ func TestMergeRecordingsAcrossRuns(t *testing.T) {
 	}
 	if r1.Sites[2] == nil || r1.Sites[2].Class != spindet.ClassLocal {
 		t.Fatal("merge dropped new site")
+	}
+}
+
+// TestReportDeterministic repeats the pipeline over two loops whose Reason
+// could name more than one place: one with never-executed sites in two
+// blocks, and a covered one with two exits that both depend on the loop
+// index. Every repeat must give the identical Report, Reason included.
+func TestReportDeterministic(t *testing.T) {
+	src := `
+var g = 0;
+var h = 0;
+func scan(k) {
+	var s = 0;
+	var i;
+	for (i = 0; i < 20; i = i + 1) {
+		if (i > 100) { s = s + load64(&g); }
+		if (i > 200) { s = s + load64(&h); }
+		s = s + i;
+	}
+	for (i = 0; i < 30; i = i + 1) {
+		if (i == k) { return s; }
+		s = s + 1;
+	}
+	return s;
+}
+func main() {
+	return scan(25) % 97;
+}`
+	for _, ccOpt := range []int{0, 2} {
+		first := analyze(t, src, ccOpt)
+		if first.Uncovered == 0 {
+			t.Fatalf("O%d: no uncovered loop: %+v", ccOpt, first.Loops)
+		}
+		for i := 0; i < 16; i++ {
+			if rep := analyze(t, src, ccOpt); !reflect.DeepEqual(rep, first) {
+				t.Fatalf("O%d repeat %d: report differs:\n%+v\nfirst:\n%+v", ccOpt, i, rep.Loops, first.Loops)
+			}
+		}
 	}
 }

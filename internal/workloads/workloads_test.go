@@ -1,9 +1,16 @@
 package workloads_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lifter"
+	"repro/internal/lower"
+	"repro/internal/mx"
+	"repro/internal/opt"
+	"repro/internal/spindet"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -144,6 +151,87 @@ func TestCKitLocksDetectedAsSpinning(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFenceOptimizeMatchesUnoptimizedInstrumentation pins the contract that
+// lets FenceOptimize optimize its instrumented build: every recording call
+// survives the standard passes, so the Report equals the one built from an
+// unoptimized instrumented build of the same graph.
+func TestFenceOptimizeMatchesUnoptimizedInstrumentation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	ws := append(workloads.Phoenix(), workloads.CKit()...)
+	for _, w := range ws {
+		for _, level := range []int{0, 2} {
+			for _, tgt := range mx.Targets {
+				t.Run(fmt.Sprintf("%s/O%d/%s", w.Name, level, tgt.Name), func(t *testing.T) {
+					t.Parallel()
+					img, err := w.Compile(level)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := core.DefaultOptions()
+					opts.Target = tgt.Name
+					p, err := core.NewProject(img, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := p.FenceOptimize([]core.Input{w.Input()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := unoptimizedInstrumentationReport(t, p, tgt, w.Input())
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("report differs from the unoptimized instrumented build:\ngot  %+v\nwant %+v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// unoptimizedInstrumentationReport is FenceOptimize with the instrumented
+// module lowered straight from the lift: instrument, lower, record one run,
+// then analyze a second, optimized lift of the same graph.
+func unoptimizedInstrumentationReport(t *testing.T, p *core.Project, tgt *mx.Target, in core.Input) *spindet.Report {
+	t.Helper()
+	lopts := lifter.Options{InsertFences: p.Opts.InsertFences, NaiveAtomics: p.Opts.NaiveAtomics}
+	lf, err := lifter.Lift(p.Img, p.Graph, lopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spindet.Instrument(lf.Mod)
+	res, err := lower.LowerWithOptions(lf, lower.Options{Target: tgt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := spindet.NewRecorder()
+	exts := map[string]vm.ExtFunc{}
+	for k, v := range in.Exts {
+		exts[k] = v
+	}
+	for k, v := range rec.Exts() {
+		exts[k] = v
+	}
+	m, err := vm.NewWithExts(res.Img, in.Seed, exts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Data != nil {
+		m.SetInput(in.Data)
+	}
+	if r := m.Run(p.Opts.Fuel); r.Fault != nil {
+		t.Fatalf("unoptimized instrumented run: %v", r.Fault)
+	}
+	lf2, err := lifter.Lift(p.Img, p.Graph, lopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.Run(lf2.Mod, opt.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return spindet.Analyze(lf2.Mod, rec.Recording())
 }
 
 // TestLightFTPExploitChangesOutput demonstrates the CVE-2023-24042 race:
