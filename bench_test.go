@@ -10,7 +10,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/lifter"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -19,7 +18,7 @@ import (
 // four baselines over every benchmark family).
 func BenchmarkTable1SupportMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := bench.Table1()
+		rows, _, err := bench.NewHarness(0).Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,7 +33,7 @@ func BenchmarkTable1SupportMatrix(b *testing.B) {
 // BenchmarkTable2Phoenix regenerates the Phoenix normalized-runtime table.
 func BenchmarkTable2Phoenix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, txt, err := bench.Table2()
+		rows, txt, err := bench.NewHarness(0).Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +47,7 @@ func BenchmarkTable2Phoenix(b *testing.B) {
 // BenchmarkTable3Gapbs regenerates the graph-kernel table (both widths).
 func BenchmarkTable3Gapbs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		txt, err := bench.Table3()
+		txt, err := bench.NewHarness(0).Table3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +58,7 @@ func BenchmarkTable3Gapbs(b *testing.B) {
 // BenchmarkTable4LiftTimes regenerates the lifting-time comparison.
 func BenchmarkTable4LiftTimes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, txt, err := bench.Table4()
+		rows, txt, err := bench.NewHarness(0).Table4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +80,7 @@ func BenchmarkTable4LiftTimes(b *testing.B) {
 // BenchmarkTable5CKit regenerates the spinlock-latency table.
 func BenchmarkTable5CKit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, txt, err := bench.Table5()
+		rows, txt, err := bench.NewHarness(0).Table5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +94,7 @@ func BenchmarkTable5CKit(b *testing.B) {
 // BenchmarkFigure4Additive regenerates the additive-vs-incremental series.
 func BenchmarkFigure4Additive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, txt, err := bench.Figure4()
+		pts, txt, err := bench.NewHarness(0).Figure4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,5 +208,4 @@ func main() {
 			b.ReportMetric(float64(cycles), "guest-cycles")
 		})
 	}
-	_ = lifter.ExtLock
 }

@@ -57,8 +57,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate table N (1-5)")
 	figure := flag.Int("figure", 0, "regenerate figure N (4)")
 	all := flag.Bool("all", false, "regenerate everything")
-	xisa := flag.Bool("xisa", false, "run the cross-ISA target comparison")
-	xisaOut := flag.String("xisa-out", "", "write the cross-ISA JSON record (BENCH_xisa.json) to `file`")
 	jobs := flag.Int("j", runtime.NumCPU(), "concurrent pipeline cells (1 = serial)")
 	jpipe := flag.Int("jpipe", runtime.NumCPU(), "concurrent per-recompile function lifts/optimizations (1 = serial)")
 	target := flag.String("target", "", "lowering target ISA: mx64 (default) or mx64w (weakly ordered, register-poor)")
@@ -237,21 +235,6 @@ func main() {
 	if want(4, "figure") {
 		any = true
 		run("Figure 4", func() (string, error) { _, t, err := h.Figure4(); return t, err })
-	}
-	if *xisa || *xisaOut != "" {
-		any = true
-		run("Cross-ISA", func() (string, error) {
-			entries, txt, err := h.XISATable()
-			if err != nil {
-				return "", err
-			}
-			if *xisaOut != "" {
-				if werr := bench.WriteXISA(*xisaOut, entries); werr != nil {
-					return "", werr
-				}
-			}
-			return txt, nil
-		})
 	}
 	if !any {
 		flag.Usage()

@@ -15,9 +15,8 @@
 // numbers.
 //
 // The generators run their independent pipeline cells over a Harness worker
-// pool (see pool.go); the package-level Table/Figure functions use a fresh
-// default harness (runtime.NumCPU() workers). Cell results are collected by
-// index, so the formatted tables are byte-identical at any worker count.
+// pool (see pool.go). Cell results are collected by index, so the formatted
+// tables are byte-identical at any worker count.
 package bench
 
 import (
@@ -37,27 +36,6 @@ import (
 
 // Fuel bounds every benchmark execution.
 const Fuel = 4_000_000_000
-
-// Package-level wrappers: each regenerates its table/figure on a fresh
-// default-width harness (kept for bench_test.go and external callers).
-
-// Table1 runs every benchmark family through Polynima and the baselines.
-func Table1() ([]SupportRow, string, error) { return NewHarness(0).Table1() }
-
-// Table2 measures the Phoenix suite.
-func Table2() ([]PerfRow, string, error) { return NewHarness(0).Table2() }
-
-// Table3 measures the gapbs suite at both element widths.
-func Table3() (string, error) { return NewHarness(0).Table3() }
-
-// Table4 compares hybrid, dynamic, and static lifting times.
-func Table4() ([]LiftRow, string, error) { return NewHarness(0).Table4() }
-
-// Table5 measures the CKit spinlock latencies.
-func Table5() ([]CKitRow, string, error) { return NewHarness(0).Table5() }
-
-// Figure4 compares additive vs incremental lifting.
-func Figure4() ([]Fig4Point, string, error) { return NewHarness(0).Figure4() }
 
 // coreOptions returns the project options every harness cell uses: the
 // defaults plus the harness's configured pipeline width.

@@ -1,47 +1,22 @@
 package bench
 
 import (
-	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/mx"
-	"repro/internal/obs"
 	"repro/internal/vm"
 )
-
-// obsBenchEntries collects the latest measurement per (name, instrumented)
-// variant; TestMain (pipebench_test.go) serializes them to BENCH_obs.json
-// after the benchmarks run.
-var (
-	obsBenchMu      sync.Mutex
-	obsBenchEntries = map[string]ObsBenchEntry{}
-)
-
-func recordObsBench(e ObsBenchEntry) {
-	obsBenchMu.Lock()
-	defer obsBenchMu.Unlock()
-	key := e.Name
-	if e.Instrumented {
-		key += "/instrumented"
-	}
-	// testing.B re-runs each benchmark with increasing b.N; keep only the
-	// final (largest, most precise) measurement per variant.
-	obsBenchEntries[key] = e
-}
 
 // obsStepFuel is the guest-instruction budget per step-loop run; the loop is
 // infinite, so every run retires exactly this many instructions.
 const obsStepFuel = 1_000_000
 
 // obsStepLoopImage is the step-loop benchmark program (ALU ops, indexed
-// store+load, call/ret, taken branch); its counters-off row in
-// BENCH_obs.json is the VM's fast-loop throughput.
+// store+load, call/ret, taken branch).
 func obsStepLoopImage(tb testing.TB) *image.Image {
 	tb.Helper()
 	b := asm.NewBuilder("obssteploop")
@@ -97,8 +72,8 @@ func runObsStepLoop(tb testing.TB, img *image.Image, counters bool) (uint64, tim
 
 // BenchmarkObsStepLoop is the observability differential for guest
 // execution: the identical hot loop with machine counters off (the VM's
-// fast loop, which has no counter checks) and on (the per-step loop). The
-// ratio is BENCH_obs.json's "StepLoop" overhead.
+// fast loop, which has no counter checks) and on (the per-step loop). Each
+// variant reports its guest throughput as insts/s.
 func BenchmarkObsStepLoop(b *testing.B) {
 	img := obsStepLoopImage(b)
 	for _, variant := range []struct {
@@ -113,77 +88,7 @@ func BenchmarkObsStepLoop(b *testing.B) {
 				insts += n
 				elapsed += d
 			}
-			ips := float64(insts) / elapsed.Seconds()
-			b.ReportMetric(ips, "insts/s")
-			recordObsBench(ObsBenchEntry{
-				Name:         "StepLoop",
-				Instrumented: variant.counters,
-				Seconds:      elapsed.Seconds() / float64(b.N),
-				Insts:        insts,
-				InstsPerSec:  ips,
-			})
+			b.ReportMetric(float64(insts)/elapsed.Seconds(), "insts/s")
 		})
-	}
-}
-
-// BenchmarkObsRecompile is the observability differential for the pipeline:
-// a full cold recompile (function cache off, so every function lifts and
-// optimizes) with span tracing off and on. Each iteration builds a fresh
-// project — and, when instrumented, a fresh tracer — so both variants do
-// identical work and the tracer cost includes event buffering.
-func BenchmarkObsRecompile(b *testing.B) {
-	img := pipeBenchImage(b)
-	for _, variant := range []struct {
-		name  string
-		spans bool
-	}{{"off", false}, {"spans", true}} {
-		b.Run(variant.name, func(b *testing.B) {
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				o := core.DefaultOptions()
-				o.NoFuncCache = true
-				if variant.spans {
-					o.Obs = obs.New()
-				}
-				p, err := core.NewProject(img, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := p.Recompile(); err != nil {
-					b.Fatal(err)
-				}
-				if variant.spans && o.Obs.OpenSpans() != 0 {
-					b.Fatalf("unbalanced spans: %d still open", o.Obs.OpenSpans())
-				}
-			}
-			elapsed := time.Since(start)
-			recordObsBench(ObsBenchEntry{
-				Name:         "Recompile",
-				Instrumented: variant.spans,
-				Seconds:      elapsed.Seconds() / float64(b.N),
-			})
-		})
-	}
-}
-
-func TestObsBenchReportOverheads(t *testing.T) {
-	r := NewObsBenchReport([]ObsBenchEntry{
-		{Name: "StepLoop", Instrumented: true, Seconds: 1.1},
-		{Name: "StepLoop", Instrumented: false, Seconds: 1.0},
-		{Name: "Orphan", Instrumented: true, Seconds: 0.5}, // no baseline
-	})
-	if got := len(r.Overheads); got != 1 {
-		t.Fatalf("overheads = %v, want 1 entry", r.Overheads)
-	}
-	if o := r.Overheads["StepLoop"]; math.Abs(o-1.1) > 1e-12 {
-		t.Errorf("overhead = %v, want 1.1", o)
-	}
-	// Deterministic ordering: by name, then uninstrumented first.
-	for i := 1; i < len(r.Benchmarks); i++ {
-		a, b := r.Benchmarks[i-1], r.Benchmarks[i]
-		if a.Name > b.Name || (a.Name == b.Name && a.Instrumented && !b.Instrumented) {
-			t.Fatalf("benchmarks not sorted: %v before %v", a, b)
-		}
 	}
 }

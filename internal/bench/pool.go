@@ -74,9 +74,6 @@ func (h *Harness) PipelineWorkers() int {
 // per cell and every project it builds records pipeline-stage spans.
 func (h *Harness) SetTracer(t *obs.Tracer) { h.tracer = t }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (h *Harness) Tracer() *obs.Tracer { return h.tracer }
-
 // SetNoFuncCache disables the artifact store in every project the harness
 // builds (orthogonal to the VM predecode cache).
 func (h *Harness) SetNoFuncCache(v bool) { h.noFuncCache = v }
@@ -87,9 +84,6 @@ func (h *Harness) SetNoFuncCache(v bool) { h.noFuncCache = v }
 // lowered images persist across cells — and, with a disk store, across
 // polybench invocations.
 func (h *Harness) SetStore(st store.Store) { h.store = st }
-
-// Store returns the attached backing store (nil when none).
-func (h *Harness) Store() store.Store { return h.store }
 
 // SetTarget sets the lowering target every cell recompiles for ("" or
 // "mx64" = the default TSO backend, "mx64w" = the weakly-ordered,

@@ -222,14 +222,23 @@ func (g *Graph) Marshal() ([]byte, error) {
 	return json.MarshalIndent(g, "", " ")
 }
 
-// Unmarshal parses an on-disk graph.
+// Unmarshal parses an on-disk graph. A null function or block entry is an
+// error: every consumer dereferences them.
 func Unmarshal(data []byte) (*Graph, error) {
 	g := new(Graph)
 	if err := json.Unmarshal(data, g); err != nil {
 		return nil, fmt.Errorf("cfg: %w", err)
 	}
+	for i, f := range g.Funcs {
+		if f == nil {
+			return nil, fmt.Errorf("cfg: funcs[%d] is null", i)
+		}
+	}
 	g.Blocks = map[uint64]*Block{}
-	for _, b := range g.BlockList {
+	for i, b := range g.BlockList {
+		if b == nil {
+			return nil, fmt.Errorf("cfg: blocks[%d] is null", i)
+		}
 		g.Blocks[b.Addr] = b
 	}
 	return g, nil

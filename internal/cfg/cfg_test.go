@@ -103,3 +103,17 @@ func TestMarshalRoundTripPreservesExt(t *testing.T) {
 		t.Fatalf("ext lost: %+v", g2.Blocks[0x108])
 	}
 }
+
+// TestUnmarshalRejectsNullEntries: null function or block entries in a
+// checkpoint are decode errors, not nil pointers for Unmarshal or a later
+// consumer to dereference.
+func TestUnmarshalRejectsNullEntries(t *testing.T) {
+	for _, in := range []string{
+		`{"entry":1,"funcs":[],"blocks":[null]}`,
+		`{"entry":1,"funcs":[null],"blocks":[]}`,
+	} {
+		if g, err := cfg.Unmarshal([]byte(in)); err == nil || !strings.Contains(err.Error(), "null") {
+			t.Errorf("%s: graph %+v, error %v; want a null-entry error", in, g, err)
+		}
+	}
+}

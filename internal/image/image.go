@@ -136,11 +136,45 @@ func (im *Image) Clone() *Image {
 // Marshal serializes the image (JSON; the reproduction's on-disk format).
 func (im *Image) Marshal() ([]byte, error) { return json.MarshalIndent(im, "", " ") }
 
-// Unmarshal parses a serialized image.
+// Unmarshal parses a serialized image. Serialized images cross trust
+// boundaries (daemon job bodies, store artifacts), so the section geometry
+// is checked before anything maps it: see checkSections.
 func Unmarshal(data []byte) (*Image, error) {
 	im := new(Image)
 	if err := json.Unmarshal(data, im); err != nil {
 		return nil, fmt.Errorf("image: %w", err)
 	}
+	if err := im.checkSections(); err != nil {
+		return nil, err
+	}
 	return im, nil
+}
+
+// checkSections enforces, in one pass that allocates nothing on success,
+// the section geometry the loader can map: each section holds its data,
+// ends at or below HeapBase without wrapping (the loader maps every
+// declared byte, and the VM heap begins at HeapBase), and sections come in
+// address order without overlap. The first and last rules are AddSection's,
+// which every image writer goes through.
+func (im *Image) checkSections() error {
+	var prevAddr, end uint64
+	for i := range im.Sections {
+		s := &im.Sections[i]
+		sEnd := s.Addr + s.Size
+		switch {
+		case s.Size < uint64(len(s.Data)):
+			return fmt.Errorf("image: section %s size %d < data %d", s.Name, s.Size, len(s.Data))
+		case sEnd < s.Addr || sEnd > HeapBase:
+			return fmt.Errorf("image: section %s [%#x,+%#x) does not end at or below the heap base %#x",
+				s.Name, s.Addr, s.Size, HeapBase)
+		case s.Addr < prevAddr:
+			return fmt.Errorf("image: section %s at %#x is out of address order", s.Name, s.Addr)
+		case s.Size > 0 && s.Addr < end: // an empty section maps nothing
+			return fmt.Errorf("image: section %s at %#x overlaps an earlier section ending at %#x",
+				s.Name, s.Addr, end)
+		}
+		prevAddr = s.Addr
+		end = max(end, sEnd)
+	}
+	return nil
 }

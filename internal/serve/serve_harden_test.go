@@ -104,6 +104,42 @@ func TestServeOversizedBodyIs413(t *testing.T) {
 	}
 }
 
+// TestServeRejectsUnmappableSections: a well-formed program whose image
+// declares a 16 GiB section is refused as 400 "not a PXE image" before a
+// trace job's loader maps it, and the daemon keeps serving: a good job sent
+// afterwards still succeeds.
+func TestServeRejectsUnmappableSections(t *testing.T) {
+	good := compileMarshal(t, threadedSrc)
+	img, err := image.Unmarshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := img.Sections[len(img.Sections)-1]
+	if err := img.AddSection(image.Section{Name: ".huge", Addr: last.Addr + last.Size, Size: 16 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, srv := newServer(t, serve.Config{})
+	status, body, _, err := postRaw(srv.URL, "/v1/trace", bad, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "not a PXE image") {
+		t.Fatalf("16 GiB section: status %d (%s), want 400 not a PXE image", status, body)
+	}
+	resp, out := postRecompile(t, srv.URL, good)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("good job after the rejection: status %d (%s)", resp.StatusCode, out)
+	}
+	if !bytes.Equal(out, localRecompile(t, good)) {
+		t.Fatal("good job after the rejection diverged from a local recompile")
+	}
+}
+
 // TestServeAdditiveRawOutputBytes pins the output_b64 fix: guest output
 // containing non-UTF-8 bytes survives the daemon roundtrip byte-identical
 // to a local run (a JSON string field used to mangle it to U+FFFD runes).
