@@ -180,11 +180,6 @@ func (b *Builder) RodataLabel(name string) { b.rodata.label(name, b) }
 // Rodata appends raw bytes to .rodata.
 func (b *Builder) Rodata(p []byte) { b.rodata.bytes(p) }
 
-// RodataQuad appends an 8-byte little-endian value to .rodata.
-func (b *Builder) RodataQuad(v uint64) {
-	b.rodata.bytes(binary.LittleEndian.AppendUint64(nil, v))
-}
-
 // RodataAddr appends the 8-byte address of a label to .rodata (jump tables,
 // function-pointer tables).
 func (b *Builder) RodataAddr(label string) { b.rodata.quadSym(label) }

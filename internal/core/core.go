@@ -17,6 +17,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -192,10 +193,13 @@ type Project struct {
 	OnCFGUpdate func(*cfg.Graph) error
 
 	// dynamic-analysis state
-	removeFences  bool
-	callbackSet   map[uint64]bool // observed external entries; nil = not pruned
-	spinReport    *spindet.Report
-	lastRecording *spindet.Recording
+	removeFences bool
+	callbackSet  map[uint64]bool // observed external entries; nil = not pruned
+	// traced and tracedRuns are the result and runsKey of the last trace
+	// session that completed without error, live or replayed; its guest
+	// entries serve PruneCallbacks over the same runs.
+	traced     *tracer.Result
+	tracedRuns store.Key
 
 	// store is the project's tiered artifact store (stages.go): a private
 	// generational memory tier over the optional shared Opts.Store backing.
@@ -245,10 +249,10 @@ func (p *Project) ctxErr() error {
 	return p.Opts.Ctx.Err()
 }
 
-// cancelErr maps a guest-run result to the project's cancellation error
+// cancelErr maps a guest-run fault to the project's cancellation error
 // when the fault was forced by the request context; nil otherwise.
-func (p *Project) cancelErr(res vm.Result, what string) error {
-	if res.Fault == nil || !res.Fault.Cancelled {
+func (p *Project) cancelErr(f *vm.Fault, what string) error {
+	if f == nil || !f.Cancelled {
 		return nil
 	}
 	cerr := p.ctxErr()
@@ -265,17 +269,6 @@ func (p *Project) CachedFuncs() int {
 		return 0
 	}
 	return p.store.Mem().Len(nsFunc)
-}
-
-// StoreStats returns the per-tier counter snapshot of this project's
-// artifact store (nil map when the store is off). The memory tier is
-// project-private; a disk tier may be shared, so its counters aggregate
-// every sharer.
-func (p *Project) StoreStats() map[string]store.Counters {
-	if p.store == nil {
-		return nil
-	}
-	return p.store.Stats()
 }
 
 // NewProject disassembles the binary and prepares a project. Disassembly is
@@ -361,17 +354,9 @@ func (p *Project) replayCFG() (*cfg.Graph, string) {
 	return g, tier
 }
 
-// Trace augments the CFG with dynamically observed indirect targets (§3.2
-// "Dynamic": the ICFT tracer, run upfront over concrete inputs).
-//
-// A trace session is a pipeline stage with a replayable artifact: its whole
-// effect on the graph is the ordered list of merged (site, target) pairs,
-// and its key covers the image, the pre-trace graph, the fuel bound, and
-// every run's identity. On a store hit the pairs are re-applied to the
-// graph — same merge, no execution — and the stored counts are reported, so
-// a replayed session is indistinguishable from a live one. Only sessions
-// that completed without error are persisted.
-func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
+// tracerRuns maps the analysis inputs to the original binary's runs; no
+// inputs means one run at the project seed.
+func (p *Project) tracerRuns(inputs []Input) []tracer.Run {
 	runs := make([]tracer.Run, len(inputs))
 	for i, in := range inputs {
 		runs[i] = tracer.Run{Input: in.Data, Seed: in.Seed, Exts: in.Exts}
@@ -379,9 +364,26 @@ func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 	if len(runs) == 0 {
 		runs = []tracer.Run{{Seed: p.Opts.Seed}}
 	}
+	return runs
+}
+
+// Trace augments the CFG with dynamically observed indirect targets (§3.2
+// "Dynamic": the ICFT tracer, run upfront over concrete inputs).
+//
+// A trace session is a pipeline stage with a replayable artifact: its whole
+// effect on the graph is the ordered list of merged (site, target) pairs,
+// and its key covers the image, the pre-trace graph and the runs' identity
+// (runsKey). On a store hit the pairs are re-applied to the graph — same
+// merge, no execution — and the stored counts and guest entries are
+// reported, so a replayed session is indistinguishable from a live one.
+// Only sessions that completed without error are persisted, and only they
+// leave their guest entries for PruneCallbacks.
+func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
+	runs := p.tracerRuns(inputs)
+	runsKey := p.runsKey(runs)
 	// The key fingerprints the graph the session starts from, so it must be
 	// computed before any merging mutates it.
-	traceKey, keyOK := p.traceKey(runs)
+	traceKey, keyOK := p.traceKey(runsKey)
 	sp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "icft-trace",
 		obs.Arg{Key: "runs", Val: len(runs)})
 	t0 := time.Now()
@@ -424,6 +426,7 @@ func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 		}
 		return nil, err
 	}
+	p.traced, p.tracedRuns = res, runsKey
 	return res, nil
 }
 
@@ -439,12 +442,7 @@ func (p *Project) applyTraceMerges(pairs []tracer.SiteTarget) bool {
 		if blk == nil {
 			return false
 		}
-		if blk.HasTarget(st.Target) {
-			continue
-		}
-		if _, known := p.Graph.Blocks[st.Target]; known {
-			blk.AddTarget(st.Target)
-		} else if err := disasm.ExploreFrom(p.Img, p.Graph, blk.Addr, st.Target); err != nil {
+		if _, err := disasm.AddIndirectTarget(p.Img, p.Graph, blk, st.Target); err != nil {
 			return false
 		}
 	}
@@ -512,22 +510,6 @@ func (p *Project) noCallbacks() bool {
 		}
 	}
 	return true
-}
-
-// Run executes a binary with this project's fuel and the given input.
-func (p *Project) Run(img *image.Image, in Input) (vm.Result, error) {
-	m, err := vm.NewWithExts(img, in.Seed, in.Exts)
-	if err != nil {
-		return vm.Result{}, err
-	}
-	m.SetCancel(p.ctxDone())
-	if in.Data != nil {
-		m.SetInput(in.Data)
-	}
-	sp := p.Opts.Obs.Begin(p.obsTID(), "guest", "guest-run")
-	res := m.Run(p.Opts.Fuel)
-	sp.Arg("insts", res.Insts).Arg("cycles", res.Cycles).End()
-	return res, nil
 }
 
 // AdditiveResult describes an additive-lifting session.
@@ -604,7 +586,7 @@ func (p *Project) RunAdditive(in Input, maxLoops int) (*AdditiveResult, error) {
 		gsp.Arg("insts", res.Insts).Arg("misses", len(misses)).End()
 		if res.Fault != nil {
 			lsp.End()
-			if cerr := p.cancelErr(res, "additive run"); cerr != nil {
+			if cerr := p.cancelErr(res.Fault, "additive run"); cerr != nil {
 				return nil, cerr
 			}
 			return nil, fmt.Errorf("core: additive run faulted at loop %d (after %d recompiles, misses integrated so far %s): %w",
@@ -628,9 +610,7 @@ func (p *Project) RunAdditive(in Input, maxLoops int) (*AdditiveResult, error) {
 				lsp.End()
 				return nil, fmt.Errorf("core: loop %d: miss site %#x not in CFG", loop, ms.Site)
 			}
-			if _, known := p.Graph.Blocks[ms.Target]; known {
-				blk.AddTarget(ms.Target)
-			} else if err := disasm.ExploreFrom(p.Img, p.Graph, blk.Addr, ms.Target); err != nil {
+			if _, err := disasm.AddIndirectTarget(p.Img, p.Graph, blk, ms.Target); err != nil {
 				lsp.End()
 				return nil, fmt.Errorf("core: loop %d: integrating miss %#x->%#x: %w", loop, ms.Site, ms.Target, err)
 			}
@@ -691,30 +671,36 @@ func formatMisses(ms []Miss) string {
 // PruneCallbacks runs the callback-usage analysis (§3.3.3): it observes
 // which functions are used as external entry points across the inputs and
 // unmarks all others, shrinking the output and unlocking optimization.
+//
+// The observation is the guest-entry set of the original binary's runs over
+// the inputs, which the ICFT tracer's runs record as well. When the
+// project's last trace session ran the same inputs (equal runsKey), live or
+// replayed, its set is taken and nothing runs; otherwise the tracer's
+// entries-only pass runs them. A pipeline/prune-callbacks span records how
+// many guest runs this call executed and the size of the set.
 func (p *Project) PruneCallbacks(inputs []Input) error {
-	set := map[uint64]bool{}
-	if len(inputs) == 0 {
-		inputs = []Input{{Seed: p.Opts.Seed}}
-	}
-	for _, in := range inputs {
-		m, err := vm.NewWithExts(p.Img, in.Seed, in.Exts)
-		if err != nil {
+	runs := p.tracerRuns(inputs)
+	sp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "prune-callbacks")
+	defer sp.End()
+	res := &tracer.Result{}
+	var err error
+	if p.traced != nil && p.tracedRuns == p.runsKey(runs) {
+		res.Entries = p.traced.Entries
+	} else if res, err = tracer.Entries(p.Img, runs, p.Opts.Fuel, p.ctxDone()); err != nil {
+		var f *vm.Fault
+		if !errors.As(err, &f) {
 			return err
 		}
-		m.SetCancel(p.ctxDone())
-		if in.Data != nil {
-			m.SetInput(in.Data)
+		if cerr := p.cancelErr(f, "callback analysis run"); cerr != nil {
+			return cerr
 		}
-		m.OnGuestEntry = func(fn uint64) { set[fn] = true }
-		res := m.Run(p.Opts.Fuel)
-		if res.Fault != nil {
-			if cerr := p.cancelErr(res, "callback analysis run"); cerr != nil {
-				return cerr
-			}
-			return fmt.Errorf("core: callback analysis run faulted: %w", res.Fault)
-		}
+		return fmt.Errorf("core: callback analysis run faulted: %w", f)
 	}
-	p.callbackSet = set
+	sp.Arg("runs", res.Runs).Arg("entries", len(res.Entries))
+	p.callbackSet = make(map[uint64]bool, len(res.Entries))
+	for _, fn := range res.Entries {
+		p.callbackSet[fn] = true
+	}
 	return nil
 }
 
@@ -773,7 +759,7 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 		r := m.Run(p.Opts.Fuel)
 		sp.Arg("insts", r.Insts).Arg("sites", len(recorder.Recording().Sites)-sites).End()
 		if r.Fault != nil {
-			if cerr := p.cancelErr(r, "instrumented run"); cerr != nil {
+			if cerr := p.cancelErr(r.Fault, "instrumented run"); cerr != nil {
 				return nil, cerr
 			}
 			return nil, fmt.Errorf("core: instrumented run faulted: %w", r.Fault)
@@ -789,41 +775,16 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 	if err := opt.Run(lf2.Mod, optOpts); err != nil {
 		return nil, err
 	}
-	p.lastRecording = recorder.Recording()
-	report := spindet.Analyze(lf2.Mod, p.lastRecording)
-	p.spinReport = report
+	report := spindet.Analyze(lf2.Mod, recorder.Recording())
 	if report.FencesRemovable {
 		p.removeFences = true
 	}
 	return report, nil
 }
 
-// SpinReport returns the last fence-optimization report, or nil.
-func (p *Project) SpinReport() *spindet.Report { return p.spinReport }
-
 // ForceFenceRemoval enables fence removal unconditionally (the unsound
 // ablation used to quantify the fence cost).
 func (p *Project) ForceFenceRemoval() { p.removeFences = true }
-
-// DebugSpin runs the fence-optimization recording and returns the influence
-// trace for one loop (diagnostics).
-func (p *Project) DebugSpin(fn string, header uint64, inputs []Input) (bool, bool, []string, error) {
-	if _, err := p.FenceOptimize(inputs); err != nil {
-		return false, false, nil, err
-	}
-	lf, err := p.lift()
-	if err != nil {
-		return false, false, nil, err
-	}
-	if err := opt.Run(lf.Mod, opt.Options{}); err != nil {
-		return false, false, nil, err
-	}
-	v, e, notes := spindet.DebugInfluence(lf.Mod, fn, header, p.lastRecording)
-	return v, e, notes, nil
-}
-
-// LastRecording exposes the last fence-optimization recording (diagnostics).
-func (p *Project) LastRecording() *spindet.Recording { return p.lastRecording }
 
 // LiftForDebug lifts with the project's dynamic results applied and returns
 // the lifted handle and its module (diagnostics; skips optimization).

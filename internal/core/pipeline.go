@@ -15,8 +15,9 @@
 //   - memory-access SiteIDs are numbered function-locally and rebased
 //     serially in entry order afterwards (lifter.FinalizeSites), exactly
 //     reproducing the serial whole-module numbering;
-//   - a cache hit clones the byte-identical body the same computation
-//     produced earlier (keys cover all of its inputs, cache.go).
+//   - a cache hit decodes (ir.DecodeFuncInto) the byte-identical body the
+//     same computation produced earlier (keys cover all of its inputs,
+//     cache.go).
 //
 // Only the interprocedural stages — callback-driven inlining and lowering —
 // run serially, and the function cache is disabled while callback pruning is

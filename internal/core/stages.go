@@ -13,8 +13,10 @@
 //	cfg    static disassembly CFG        key: image
 //	                                     payload: cfg.Graph JSON
 //	trace  one ICFT trace/merge session  key: image, pre-trace graph,
-//	                                          fuel, runs (seed+input+exts)
+//	                                          runsKey (fuel; every run's
+//	                                          seed, input, ext names)
 //	                                     payload: counts + merged pairs
+//	                                          + guest entries
 //	func   one lifted+optimized body     key: fingerprintFunc (machine
 //	                                          bytes, CFG shape, option
 //	                                          bits, target id) + image
@@ -53,7 +55,7 @@ const (
 // Schema tags folded into keys; bump alongside any payload format change.
 var (
 	schemaCFG   = []byte("cfg/1")
-	schemaTrace = []byte("trace/1")
+	schemaTrace = []byte("trace/2") // v2: guest entries follow the pairs
 	schemaFunc  = []byte("func/2")  // v2: target id joined the key bytes
 	schemaImage = []byte("image/2") // v2: target id in key; fences in payload
 )
@@ -128,20 +130,13 @@ func (p *Project) cfgKey() (store.Key, bool) {
 	return store.KeyOf(schemaCFG, imgFP[:]), true
 }
 
-// traceKey keys one trace/merge session: the image, the graph the session
-// started from, the fuel bound, and every run's full identity (seed, input
-// bytes, sorted host-function names — the functions themselves are code,
-// assumed stable for a given name set).
-func (p *Project) traceKey(runs []tracer.Run) (store.Key, bool) {
-	imgFP, ok := p.imageFP()
-	if !ok {
-		return store.Key{}, false
-	}
-	gFP, ok := p.graphFP()
-	if !ok {
-		return store.Key{}, false
-	}
-	parts := [][]byte{schemaTrace, imgFP[:], gFP[:], store.U64(p.Opts.Fuel), store.U64(uint64(len(runs)))}
+// runsKey is the identity of one batch of runs of the original binary: the
+// fuel bound and every run's seed, input bytes and sorted host-function
+// names (the functions themselves are code, assumed stable for a given name
+// set). Runs with equal keys observe the same execution, so PruneCallbacks
+// reuses a trace session's guest entries when the keys match.
+func (p *Project) runsKey(runs []tracer.Run) store.Key {
+	parts := [][]byte{store.U64(p.Opts.Fuel), store.U64(uint64(len(runs)))}
 	for _, r := range runs {
 		parts = append(parts, store.U64(uint64(r.Seed)), r.Input)
 		names := make([]string, 0, len(r.Exts))
@@ -154,7 +149,21 @@ func (p *Project) traceKey(runs []tracer.Run) (store.Key, bool) {
 			parts = append(parts, []byte(name))
 		}
 	}
-	return store.KeyOf(parts...), true
+	return store.KeyOf(parts...)
+}
+
+// traceKey keys one trace/merge session: the image, the graph the session
+// started from, and the identity of its runs.
+func (p *Project) traceKey(runs store.Key) (store.Key, bool) {
+	imgFP, ok := p.imageFP()
+	if !ok {
+		return store.Key{}, false
+	}
+	gFP, ok := p.graphFP()
+	if !ok {
+		return store.Key{}, false
+	}
+	return store.KeyOf(schemaTrace, imgFP[:], gFP[:], runs[:]), true
 }
 
 // funcKey widens a per-function fingerprint (cache.go) into a store key by
@@ -211,10 +220,10 @@ func (p *Project) imageKey() (store.Key, bool) {
 }
 
 // encodeTraceArtifact serializes a trace session: the counters the caller
-// reports (Table 4 prints ICFTs, so replay must restore them exactly) and
-// the merged pairs in merge order.
+// reports (Table 4 prints ICFTs, so replay must restore them exactly), the
+// merged pairs in merge order, and the guest entries the runs observed.
 func encodeTraceArtifact(res *tracer.Result) []byte {
-	buf := make([]byte, 0, 40+16*len(res.Merged))
+	buf := make([]byte, 0, 48+16*len(res.Merged)+8*len(res.Entries))
 	u64 := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }
 	u64(uint64(res.ICFTs))
 	u64(uint64(res.NewTargets))
@@ -225,31 +234,55 @@ func encodeTraceArtifact(res *tracer.Result) []byte {
 		u64(st.Site)
 		u64(st.Target)
 	}
+	u64(uint64(len(res.Entries)))
+	for _, fn := range res.Entries {
+		u64(fn)
+	}
 	return buf
 }
 
 // decodeTraceArtifact parses encodeTraceArtifact's form; !ok on any
-// mismatch (the caller falls back to a live trace).
+// mismatch (the caller falls back to a live trace). The payload may come
+// from a shared store, so each count is checked against the bytes left
+// before anything is sized by it.
 func decodeTraceArtifact(data []byte) (*tracer.Result, bool) {
-	if len(data) < 40 {
+	u64 := func() uint64 {
+		x := binary.LittleEndian.Uint64(data)
+		data = data[8:]
+		return x
+	}
+	// count reads a length prefix of items of size bytes each; !ok unless
+	// the prefix and all of its items fit in what is left.
+	count := func(size int) (int, bool) {
+		if len(data) < 8 {
+			return 0, false
+		}
+		n := u64()
+		if n > uint64(len(data)/size) {
+			return 0, false
+		}
+		return int(n), true
+	}
+	if len(data) < 32 {
 		return nil, false
 	}
-	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(data[off:]) }
-	n := u64(32)
-	if uint64(len(data)) != 40+16*n {
+	res := &tracer.Result{ICFTs: int(u64()), NewTargets: int(u64()), Runs: int(u64()), Insts: u64()}
+	n, ok := count(16)
+	if !ok {
 		return nil, false
-	}
-	res := &tracer.Result{
-		ICFTs:      int(u64(0)),
-		NewTargets: int(u64(8)),
-		Runs:       int(u64(16)),
-		Insts:      u64(24),
 	}
 	res.Merged = make([]tracer.SiteTarget, n)
 	for i := range res.Merged {
-		res.Merged[i] = tracer.SiteTarget{Site: u64(40 + 16*i), Target: u64(48 + 16*i)}
+		res.Merged[i] = tracer.SiteTarget{Site: u64(), Target: u64()}
 	}
-	return res, true
+	if n, ok = count(8); !ok {
+		return nil, false
+	}
+	res.Entries = make([]uint64, n)
+	for i := range res.Entries {
+		res.Entries[i] = u64()
+	}
+	return res, len(data) == 0
 }
 
 // encodeImageArtifact serializes the final lowered image plus the scalar

@@ -96,6 +96,23 @@ func ExploreFrom(img *image.Image, g *cfg.Graph, fromBlock, target uint64) error
 	return nil
 }
 
+// AddIndirectTarget integrates one observed indirect transfer from blk to
+// target into g: nothing when target is already one of blk's targets, an
+// edge when target's block is known, and otherwise ExploreFrom's recursive
+// descent. The ICFT tracer, trace-artifact replay and additive lifting all
+// integrate through here. It reports whether target was new to blk, also
+// when the descent then fails.
+func AddIndirectTarget(img *image.Image, g *cfg.Graph, blk *cfg.Block, target uint64) (bool, error) {
+	if blk.HasTarget(target) {
+		return false, nil
+	}
+	if _, known := g.Blocks[target]; known {
+		blk.AddTarget(target)
+		return true, nil
+	}
+	return true, ExploreFrom(img, g, blk.Addr, target)
+}
+
 type state struct {
 	img      *image.Image
 	text     *image.Section
@@ -451,23 +468,5 @@ func AddTracedBlock(img *image.Image, g *cfg.Graph, f *cfg.Func, pc uint64) erro
 	}
 	g.Blocks[pc] = b
 	g.AddBlockToFunc(f, pc)
-	return nil
-}
-
-// ExploreFromBlockSeed runs intraprocedural recursive descent from seed,
-// attaching discovered blocks to f (additive integration entry point for
-// drivers that manage their own worklists).
-func ExploreFromBlockSeed(img *image.Image, g *cfg.Graph, f *cfg.Func, seed uint64) error {
-	text := img.Text()
-	if text == nil {
-		return fmt.Errorf("disasm: image has no text section")
-	}
-	d := &state{img: img, text: text, g: g, inTable: map[uint64]bool{}}
-	d.exploreBlocks(f, []uint64{seed})
-	for len(d.funcWork) > 0 {
-		fe := d.funcWork[len(d.funcWork)-1]
-		d.funcWork = d.funcWork[:len(d.funcWork)-1]
-		d.exploreFunc(fe)
-	}
 	return nil
 }

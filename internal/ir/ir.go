@@ -393,17 +393,6 @@ func (m *Module) NewFunc(name string) *Func {
 // Func returns the function with the given name, or nil.
 func (m *Module) Func(name string) *Func { return m.byName[name] }
 
-// RemoveFunc unregisters and removes a function.
-func (m *Module) RemoveFunc(name string) {
-	delete(m.byName, name)
-	for i, f := range m.Funcs {
-		if f.Name == name {
-			m.Funcs = append(m.Funcs[:i], m.Funcs[i+1:]...)
-			return
-		}
-	}
-}
-
 // NewGlobal creates and registers a global.
 func (m *Module) NewGlobal(name string, size uint64) *Global {
 	g := &Global{Name: name, Size: size}

@@ -23,9 +23,6 @@ type Pass struct {
 	Run  func(f *ir.Func) bool // reports whether anything changed
 }
 
-// StandardPasses returns the default refinement pipeline, in order.
-func StandardPasses() []Pass { return passesWith(false) }
-
 func passesWith(noCallbacks bool) []Pass {
 	return []Pass{
 		{"vreg-forward", func(f *ir.Func) bool { return localVRegForward(f, noCallbacks) }},

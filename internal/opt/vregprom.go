@@ -12,7 +12,7 @@ import "repro/internal/ir"
 // receive state through the globals; callbacks may re-enter guest code). So
 // stores are never moved across those instructions, and load forwarding is
 // invalidated by them. Stores are kept in place by the forwarding passes;
-// VRegDeadStoreElim then removes stores that are provably overwritten before
+// vregDeadStoreElim then removes stores that are provably overwritten before
 // any reader.
 
 // isVRegBarrier reports whether v invalidates known virtual-state values.
@@ -101,12 +101,10 @@ func survivesCall(g *ir.Global) bool {
 	return vregClass(g) == classCalleeSaved && g.Name != "vr_rsp"
 }
 
-// LocalVRegForward forwards vreg values within each block: a load observes
+// localVRegForward forwards vreg values within each block: a load observes
 // the last store/load of the same global in the block (if no barrier
 // intervened), and consecutive stores to the same global make the earlier
-// one removable (handled by VRegDeadStoreElim; here we only forward loads).
-func LocalVRegForward(f *ir.Func) bool { return localVRegForward(f, false) }
-
+// one removable (handled by vregDeadStoreElim; here we only forward loads).
 func localVRegForward(f *ir.Func, noCallbacks bool) bool {
 	changed := false
 	for _, b := range f.Blocks {
@@ -165,12 +163,10 @@ type outState struct {
 	transparent bool      // untouched: entry value flows through
 }
 
-// PromoteVRegs replaces vreg loads at block entries with values flowing in
+// promoteVRegs replaces vreg loads at block entries with values flowing in
 // from predecessors, inserting phis where paths disagree (Braun-style
 // on-demand SSA construction with poison for unknown-at-entry paths). This
 // is what turns a lifted loop counter back into an SSA induction value.
-func PromoteVRegs(f *ir.Func) bool { return promoteVRegs(f, false) }
-
 func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 	preds := ir.Preds(f)
 
@@ -587,12 +583,10 @@ func countUses(f *ir.Func) map[*ir.Value]int {
 	return uses
 }
 
-// VRegDeadStoreElim removes vreg stores that are overwritten before any
+// vregDeadStoreElim removes vreg stores that are overwritten before any
 // possible reader (loads, calls, barriers, returns). Backward liveness over
 // the globals; terminators: Ret and reachable calls make everything live,
 // Unreachable makes nothing live (execution stops).
-func VRegDeadStoreElim(f *ir.Func) bool { return vregDeadStoreElim(f, false) }
-
 func vregDeadStoreElim(f *ir.Func, noCallbacks bool) bool {
 	// Collect the global universe.
 	idx := map[*ir.Global]int{}

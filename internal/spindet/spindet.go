@@ -553,44 +553,3 @@ func setsIntersect(a, b map[uint64]bool) bool {
 	}
 	return false
 }
-
-// DebugInfluence exposes the influence classification for diagnostics and
-// tests: it returns (varying, external) for the first exit condition of the
-// loop with the given header address in the named function.
-func DebugInfluence(m *ir.Module, fn string, header uint64, rec *Recording) (bool, bool, []string) {
-	var notes []string
-	for _, f := range m.Funcs {
-		if f.Name != fn {
-			continue
-		}
-		dom := ir.BuildDom(f)
-		for _, l := range dom.FindLoops() {
-			if l.Header.OrigAddr != header {
-				continue
-			}
-			a := &analyzer{f: f, loop: l, rec: rec}
-			for _, ex := range l.Exits {
-				t := ex.From.Term()
-				if t == nil || (t.Op != ir.OpCondBr && t.Op != ir.OpSwitch) {
-					continue
-				}
-				cond := t.Args[0]
-				var walk func(v *ir.Value, d int)
-				walk = func(v *ir.Value, d int) {
-					if d > 5 {
-						return
-					}
-					r := a.influence(v, map[*ir.Value]bool{}, 0)
-					notes = append(notes, fmt.Sprintf("%*s%%%d %s varying=%v external=%v", d*2, "", v.ID, v.Op, r.varying, r.external))
-					for _, arg := range v.Args {
-						walk(arg, d+1)
-					}
-				}
-				walk(cond, 0)
-				r := a.influence(cond, map[*ir.Value]bool{}, 0)
-				return r.varying, r.external, notes
-			}
-		}
-	}
-	return false, false, notes
-}

@@ -7,10 +7,16 @@
 // (different inputs, different scheduler seeds) are merged into the static
 // CFG, giving the recompiler the precision of a dynamic lifter without the
 // full-emulation cost of BinRec-style tracing.
+//
+// The same runs also record every guest function the host enters (thread
+// entries, library callbacks): the observation the callback-usage analysis
+// (§3.3.3) needs, so one execution per input serves both analyses. Entries
+// is that observation alone, for inputs no trace session covered.
 package tracer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/disasm"
@@ -50,6 +56,10 @@ type Result struct {
 	// starting graph (internal/core's trace-artifact replay) reproduces the
 	// merged graph without executing anything, so len(Merged) == ICFTs.
 	Merged []SiteTarget
+	// Entries lists, in ascending order, every guest function the host
+	// entered across the runs: spawned threads and host-library callbacks,
+	// not the program entry the machine starts at.
+	Entries []uint64
 }
 
 // Trace runs the original binary under the ICFT tracer for each run and
@@ -74,65 +84,104 @@ func Trace(img *image.Image, g *cfg.Graph, runs []Run, fuel uint64) (*Result, er
 // above), so cancelled callers still get the partial Result.
 func TraceObs(img *image.Image, g *cfg.Graph, runs []Run, fuel uint64, tr *obs.Tracer, tid int64, cancel <-chan struct{}) (*Result, error) {
 	res := &Result{}
-	type siteTarget struct{ site, target uint64 }
-	seen := map[siteTarget]bool{}
-	merged := 0
+	entries := map[uint64]bool{}
+	seen := map[SiteTarget]bool{}
+	done := func(err error) (*Result, error) {
+		res.ICFTs = len(res.Merged)
+		res.Entries = sorted(entries)
+		return res, err
+	}
 	for ri, r := range runs {
-		m, err := vm.NewWithExts(img, r.Seed, r.Exts)
+		var recs []SiteTarget
+		sp := tr.Begin(tid, "tracer", "icft-run", obs.Arg{Key: "run", Val: ri})
+		out, err := execute(img, r, fuel, cancel, entries, func(_ *vm.Thread, from, target uint64, kind vm.ControlKind) {
+			st := SiteTarget{from, target}
+			if kind != vm.KindRet && !seen[st] { // returns are not ICFT sites
+				seen[st] = true
+				recs = append(recs, st)
+			}
+		})
 		if err != nil {
+			sp.End()
 			return nil, err
 		}
-		m.SetCancel(cancel)
-		if r.Input != nil {
-			m.SetInput(r.Input)
-		}
-		type rec struct{ site, target uint64 }
-		var recs []rec
-		m.OnIndirect = func(t *vm.Thread, from, target uint64, kind vm.ControlKind) {
-			if kind == vm.KindRet {
-				return // returns are not ICFT sites
-			}
-			st := siteTarget{from, target}
-			if !seen[st] {
-				seen[st] = true
-				recs = append(recs, rec{from, target})
-			}
-		}
-		sp := tr.Begin(tid, "tracer", "icft-run", obs.Arg{Key: "run", Val: ri})
-		out := m.Run(fuel)
 		sp.Arg("insts", out.Insts).Arg("records", len(recs)).End()
 		res.Runs++
 		res.Insts += out.Insts
 		// Merge this run's records into the graph — before the fault check,
 		// so a faulted run's observations are neither lost nor left marked
 		// in seen where no later run could ever re-record them.
-		for _, rc := range recs {
-			blk := g.BlockContaining(rc.site)
+		for _, st := range recs {
+			blk := g.BlockContaining(st.Site)
 			if blk == nil {
 				// The site itself was unknown statically (e.g. code reached
 				// only through an unresolved indirect transfer). Unmark it so
 				// a later run can re-record the pair once the site is known.
-				delete(seen, siteTarget{rc.site, rc.target})
+				delete(seen, st)
 				continue
 			}
-			merged++
-			res.Merged = append(res.Merged, SiteTarget{rc.site, rc.target})
-			if blk.HasTarget(rc.target) {
-				continue
+			res.Merged = append(res.Merged, st)
+			grew, err := disasm.AddIndirectTarget(img, g, blk, st.Target)
+			if grew {
+				res.NewTargets++
 			}
-			res.NewTargets++
-			if _, known := g.Blocks[rc.target]; known {
-				blk.AddTarget(rc.target)
-			} else if err := disasm.ExploreFrom(img, g, blk.Addr, rc.target); err != nil {
-				res.ICFTs = merged
-				return res, fmt.Errorf("tracer: integrating %#x -> %#x: %w", rc.site, rc.target, err)
+			if err != nil {
+				return done(fmt.Errorf("tracer: integrating %#x -> %#x: %w", st.Site, st.Target, err))
 			}
 		}
 		if out.Fault != nil {
-			res.ICFTs = merged
-			return res, fmt.Errorf("tracer: run %d faulted: %v", res.Runs, out.Fault)
+			return done(fmt.Errorf("tracer: run %d faulted: %w", res.Runs, out.Fault))
 		}
 	}
-	res.ICFTs = merged
+	return done(nil)
+}
+
+// Entries runs the original binary once per run, exactly as Trace does, and
+// records only the guest functions the host enters: it merges nothing into
+// any graph and keeps no ICFT state, so the Result carries Runs, Insts and
+// Entries alone. A faulted or cancelled run stops the pass with an error
+// wrapping its *vm.Fault.
+func Entries(img *image.Image, runs []Run, fuel uint64, cancel <-chan struct{}) (*Result, error) {
+	res := &Result{}
+	entries := map[uint64]bool{}
+	for _, r := range runs {
+		out, err := execute(img, r, fuel, cancel, entries, nil)
+		if err != nil {
+			return nil, err
+		}
+		res.Runs++
+		res.Insts += out.Insts
+		if out.Fault != nil {
+			return res, fmt.Errorf("tracer: run %d faulted: %w", res.Runs, out.Fault)
+		}
+	}
+	res.Entries = sorted(entries)
 	return res, nil
+}
+
+// execute builds a machine for one run of the original binary, records each
+// guest function the host enters into entries, attaches onIndirect (which
+// may be nil), and runs it under fuel.
+func execute(img *image.Image, r Run, fuel uint64, cancel <-chan struct{}, entries map[uint64]bool, onIndirect func(*vm.Thread, uint64, uint64, vm.ControlKind)) (vm.Result, error) {
+	m, err := vm.NewWithExts(img, r.Seed, r.Exts)
+	if err != nil {
+		return vm.Result{}, err
+	}
+	m.SetCancel(cancel)
+	if r.Input != nil {
+		m.SetInput(r.Input)
+	}
+	m.OnGuestEntry = func(fn uint64) { entries[fn] = true }
+	m.OnIndirect = onIndirect
+	return m.Run(fuel), nil
+}
+
+// sorted returns a set's members in ascending order.
+func sorted(set map[uint64]bool) []uint64 {
+	out := make([]uint64, 0, len(set))
+	for a := range set {
+		out = append(out, a)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -1,6 +1,7 @@
 package tracer_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cc"
@@ -163,4 +164,42 @@ func main() {
 		t.Fatal("expected fault to propagate")
 	}
 	_ = vm.Result{}
+}
+
+func TestTracerRecordsGuestEntries(t *testing.T) {
+	img, syms, err := cc.Compile(`
+extern thread_create;
+extern thread_join;
+func f1(x) { return x + 1; }
+func worker(a) { var fp = f1; return fp(a); }
+func main() {
+	var t1 = thread_create(worker, 1);
+	return thread_join(t1);
+}`, cc.Config{Name: "p", Opt: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := disasm.Disassemble(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []tracer.Run{{Seed: 1}, {Seed: 2}}
+	res, err := tracer.Trace(img, g, runs, 10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The spawned worker only: the machine starts at main on its own.
+	if want := []uint64{syms["fn_worker"]}; !reflect.DeepEqual(res.Entries, want) {
+		t.Fatalf("traced entries %#x, want %#x", res.Entries, want)
+	}
+	alone, err := tracer.Entries(img, runs, 10_000_000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(alone.Entries, res.Entries) || alone.Runs != 2 || alone.Insts != res.Insts {
+		t.Fatalf("entries-only pass %+v, trace session %+v", alone, res)
+	}
+	if alone.ICFTs != 0 || alone.Merged != nil {
+		t.Fatalf("entries-only pass kept ICFT state: %+v", alone)
+	}
 }

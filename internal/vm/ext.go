@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/mx"
@@ -331,16 +330,6 @@ func (m *Machine) bindImports() error {
 		m.extCost[i] = def.cost
 	}
 	return nil
-}
-
-// ExtNames returns the sorted names of all builtin host-library functions.
-func ExtNames() []string {
-	names := make([]string, 0, len(builtinExts))
-	for n := range builtinExts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // --- synchronization objects (keyed by guest address) ----------------------

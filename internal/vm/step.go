@@ -44,9 +44,6 @@ var costs = func() [mx.NumOps]uint64 {
 	return c
 }()
 
-// CostOf exposes the cycle cost of an opcode (used by lifting-time models).
-func CostOf(op mx.Op) uint64 { return costs[op] }
-
 func (t *Thread) setZS(v uint64) {
 	t.ZF = v == 0
 	t.SF = int64(v) < 0

@@ -9,8 +9,10 @@ import (
 	"repro/internal/lifter"
 	"repro/internal/lower"
 	"repro/internal/mx"
+	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/spindet"
+	"repro/internal/tracer"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -232,6 +234,66 @@ func unoptimizedInstrumentationReport(t *testing.T, p *core.Project, tgt *mx.Tar
 		t.Fatal(err)
 	}
 	return spindet.Analyze(lf2.Mod, rec.Recording())
+}
+
+// TestTraceEntriesMatchCallbackAnalysis pins the one run of the original
+// binary per input: for every corpus image, the guest entries the trace
+// session records, which PruneCallbacks then reuses without running
+// anything, equal the standalone callback analysis's set.
+func TestTraceEntriesMatchCallbackAnalysis(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	images, multi := 0, 0
+	for _, w := range workloads.All() {
+		for _, level := range []int{0, 2} {
+			img, err := w.Compile(level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.New()
+			o := core.DefaultOptions()
+			o.NoFuncCache = true
+			o.Obs = tr
+			p, err := core.NewProject(img, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Trace([]core.Input{w.Input()})
+			if err != nil {
+				t.Fatalf("%s/O%d: trace: %v", w.Name, level, err)
+			}
+			if err := p.PruneCallbacks([]core.Input{w.Input()}); err != nil {
+				t.Fatalf("%s/O%d: prune: %v", w.Name, level, err)
+			}
+			args := map[string]any{}
+			for _, ev := range tr.Events() {
+				if ev.Name == "prune-callbacks" {
+					for _, a := range ev.Args {
+						args[a.Key] = a.Val
+					}
+				}
+			}
+			if args["runs"] != 0 || args["entries"] != len(res.Entries) {
+				t.Errorf("%s/O%d: prune after trace recorded %v, want runs 0 and entries %d",
+					w.Name, level, args, len(res.Entries))
+			}
+			in := w.Input()
+			alone, err := tracer.Entries(img, []tracer.Run{{Input: in.Data, Seed: in.Seed, Exts: in.Exts}}, o.Fuel, nil)
+			if err != nil {
+				t.Fatalf("%s/O%d: standalone analysis: %v", w.Name, level, err)
+			}
+			if !reflect.DeepEqual(res.Entries, alone.Entries) {
+				t.Errorf("%s/O%d: trace session entries %#x, standalone %#x",
+					w.Name, level, res.Entries, alone.Entries)
+			}
+			images++
+			if len(res.Entries) > 1 {
+				multi++
+			}
+		}
+	}
+	t.Logf("%d images; %d entered at more than one function", images, multi)
 }
 
 // TestLightFTPExploitChangesOutput demonstrates the CVE-2023-24042 race:
