@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -80,11 +81,18 @@ func TestLoadCFGMissingAndCorrupt(t *testing.T) {
 	if err != nil || g != nil {
 		t.Fatalf("missing checkpoint: got (%v, %v), want (nil, nil)", g, err)
 	}
-	bad := filepath.Join(dir, "torn.json")
-	if err := os.WriteFile(bad, []byte(`{"Blocks": [tru`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadCFG(bad); err == nil {
-		t.Fatal("corrupt checkpoint did not error")
+	for name, data := range map[string]string{
+		"torn.json": `{"Blocks": [tru`,
+		// A function listing a block the graph does not hold: lifting it
+		// would dereference a nil block.
+		"missing-block.json": `{"entry":1,"funcs":[{"entry":1,"blocks":[1,9]}],"blocks":[{"addr":1,"size":1,"term":"ret"}]}`,
+	} {
+		bad := filepath.Join(dir, name)
+		if err := os.WriteFile(bad, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadCFG(bad); err == nil || !strings.Contains(err.Error(), "delete the file") {
+			t.Fatalf("%s: err = %v, want a decode error with the delete hint", name, err)
+		}
 	}
 }

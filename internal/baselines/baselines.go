@@ -1,8 +1,8 @@
 // Package baselines implements the comparator recompilers of the evaluation
 // (Tables 1 and 4, Figure 4): a McSema-like static recompiler, a
 // BinRec-like dynamic (emulator-coupled) recompiler with incremental
-// lifting, a mctoll/Lasagne-like static translator with per-function
-// stack-frame recovery, and a Rev.Ng-like static recompiler.
+// lifting, and a mctoll/Lasagne-like static translator with per-function
+// stack-frame recovery. Table 1's Rev.Ng column reuses the McSema-like run.
 //
 // Each baseline reproduces its namesake's characteristic capability set and
 // failure modes as documented in the paper (§2, §4):
@@ -20,9 +20,9 @@
 //     dynamically sized stack allocations (§2.2.1); indirect calls cannot be
 //     resolved; only simple lock add/sub atomics are translated; OpenMP
 //     runtimes are unsupported (Table 1's 5/7 Phoenix, 0/8 gapbs, 0/11 CKit).
-//   - Rev.Ng-like: static recompiler whose recovered binaries fault in the
+//   - Rev.Ng: a static recompiler whose recovered binaries fault in the
 //     thread-spawn path (§4 "faults during execution of the do_fork
-//     procedure") — modeled with the shared-state lowering.
+//     procedure") — the McSema-like shared-state lowering models it.
 package baselines
 
 import (
@@ -59,12 +59,6 @@ func McSemaLike(img *image.Image) (*image.Image, time.Duration, error) {
 		return nil, 0, err
 	}
 	return res.Img, time.Since(t0), nil
-}
-
-// RevNgLike statically recompiles img with jump-table recovery but the same
-// shared-state model; like McSema it has no miss recovery.
-func RevNgLike(img *image.Image) (*image.Image, time.Duration, error) {
-	return McSemaLike(img) // distinguished only by provenance; see package doc
 }
 
 // MctollUnsupportedError explains why the mctoll/Lasagne-like baseline

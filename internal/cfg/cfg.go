@@ -147,19 +147,6 @@ func (g *Graph) BlockContaining(addr uint64) *Block {
 // NumBlocks returns the number of blocks.
 func (g *Graph) NumBlocks() int { return len(g.Blocks) }
 
-// IndirectBlocks returns the addresses of blocks with indirect terminators,
-// sorted.
-func (g *Graph) IndirectBlocks() []uint64 {
-	var out []uint64
-	for a, b := range g.Blocks {
-		if b.Term == TermJmpInd || b.Term == TermCallInd {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Validate checks structural invariants: every function block exists, every
 // direct target of an owned block exists, fallthroughs exist.
 func (g *Graph) Validate() error {
@@ -223,7 +210,8 @@ func (g *Graph) Marshal() ([]byte, error) {
 }
 
 // Unmarshal parses an on-disk graph. A null function or block entry is an
-// error: every consumer dereferences them.
+// error, and so is any graph Validate rejects: every consumer dereferences
+// the blocks a function lists and the targets and fallthroughs they name.
 func Unmarshal(data []byte) (*Graph, error) {
 	g := new(Graph)
 	if err := json.Unmarshal(data, g); err != nil {
@@ -241,24 +229,8 @@ func Unmarshal(data []byte) (*Graph, error) {
 		}
 		g.Blocks[b.Addr] = b
 	}
-	return g, nil
-}
-
-// Merge folds indirect-target information from other into g (the ICFT
-// tracer's merge-across-runs step). Only target sets are merged; the block
-// structure must already agree. It returns the number of new targets added.
-func (g *Graph) Merge(other *Graph) int {
-	added := 0
-	for addr, ob := range other.Blocks {
-		b, ok := g.Blocks[addr]
-		if !ok {
-			continue
-		}
-		for _, t := range ob.Targets {
-			if b.AddTarget(t) {
-				added++
-			}
-		}
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
-	return added
+	return g, nil
 }

@@ -59,10 +59,6 @@ func TestAddTargetSortedAndIdempotent(t *testing.T) {
 
 func TestIndirectBlocksAndContaining(t *testing.T) {
 	g := buildGraph(t)
-	ind := g.IndirectBlocks()
-	if len(ind) != 1 || ind[0] != 0x108 {
-		t.Fatalf("indirect blocks %x", ind)
-	}
 	if b := g.BlockContaining(0x105); b == nil || b.Addr != 0x100 {
 		t.Fatal("containing lookup failed")
 	}
@@ -105,15 +101,21 @@ func TestMarshalRoundTripPreservesExt(t *testing.T) {
 }
 
 // TestUnmarshalRejectsNullEntries: null function or block entries in a
-// checkpoint are decode errors, not nil pointers for Unmarshal or a later
-// consumer to dereference.
+// checkpoint, and blocks a graph names but does not hold, are decode errors,
+// not nil pointers for Unmarshal or a later consumer to dereference.
 func TestUnmarshalRejectsNullEntries(t *testing.T) {
-	for _, in := range []string{
-		`{"entry":1,"funcs":[],"blocks":[null]}`,
-		`{"entry":1,"funcs":[null],"blocks":[]}`,
+	for _, c := range []struct{ in, want string }{
+		{`{"entry":1,"funcs":[],"blocks":[null]}`, "null"},
+		{`{"entry":1,"funcs":[null],"blocks":[]}`, "null"},
+		{`{"entry":1,"funcs":[{"entry":1,"blocks":[1,9]}],"blocks":[{"addr":1,"size":1,"term":"ret"}]}`,
+			"missing block 0x9"},
+		{`{"entry":1,"funcs":[{"entry":1,"blocks":[1]}],"blocks":[{"addr":1,"size":1,"term":"jmp","targets":[9]}]}`,
+			"missing direct target 0x9"},
+		{`{"entry":1,"funcs":[{"entry":1,"blocks":[1]}],"blocks":[{"addr":1,"size":1,"term":"fall","fall":9}]}`,
+			"missing fallthrough 0x9"},
 	} {
-		if g, err := cfg.Unmarshal([]byte(in)); err == nil || !strings.Contains(err.Error(), "null") {
-			t.Errorf("%s: graph %+v, error %v; want a null-entry error", in, g, err)
+		if g, err := cfg.Unmarshal([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: graph %+v, error %v; want an error containing %q", c.in, g, err, c.want)
 		}
 	}
 }

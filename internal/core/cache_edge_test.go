@@ -1,9 +1,10 @@
 package core
 
-// Internal edge-case tests for the store-backed function cache: generational
+// Internal edge-case tests for the store-backed artifacts: generational
 // pruning keeps the memory tier bounded to the live bodies across an additive
-// session, and a stored body whose symbol references no longer resolve in a
-// fresh module degrades to a counted miss that the recompile then repairs.
+// session, a stored body whose symbol references no longer resolve in a
+// fresh module degrades to a counted miss that the recompile then repairs,
+// and a stored CFG that names a block it does not hold is re-disassembled.
 
 import (
 	"bytes"
@@ -11,8 +12,10 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/lifter"
+	"repro/internal/store"
 )
 
 const edgeFptrSrc = `
@@ -165,5 +168,72 @@ func TestStaleFuncArtifactDegradesToMiss(t *testing.T) {
 	}
 	if bytes.Equal(data, poison) {
 		t.Fatal("poisoned artifact survived the recompile")
+	}
+}
+
+// TestPoisonedCFGArtifactFallsBackToDisassembly seeds a shared store, as any
+// daemon client may PUT it, with a graph under the image's cfg key whose
+// entry function lists a block the graph does not hold. NewProject must
+// treat it as a miss and disassemble, Recompile must return a clean
+// project's bytes instead of dereferencing the missing block, and the
+// entry must end up overwritten by the disassembled graph.
+func TestPoisonedCFGArtifactFallsBackToDisassembly(t *testing.T) {
+	img, _, err := cc.Compile(edgeFptrSrc, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.VerifyIR = true
+	clean, err := NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := clean.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	poisoned := clean.Graph.Clone()
+	fn := poisoned.Func(poisoned.Entry)
+	fn.Blocks = append(fn.Blocks, 0xdead0)
+	poison, err := poisoned.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	key, ok := newProjectShell(img, o).cfgKey()
+	if !ok {
+		t.Fatal("no cfg key")
+	}
+	o.SharedStore.Put(nsCFG, key, poison)
+
+	p, err := NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err = p.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("recompile after a poisoned cfg artifact diverged from a clean project")
+	}
+	if err := p.Graph.Validate(); err != nil {
+		t.Fatalf("project kept the poisoned graph: %v", err)
+	}
+	data, _, ok := o.SharedStore.Get(nsCFG, key)
+	if !ok {
+		t.Fatal("cfg entry missing after disassembly")
+	}
+	if _, err := cfg.Unmarshal(data); err != nil {
+		t.Fatalf("poisoned cfg artifact survived: %v", err)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"repro/internal/lifter"
 	"repro/internal/lower"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/spindet"
 	"repro/internal/store"
 	"repro/internal/tracer"
@@ -449,69 +448,6 @@ func (p *Project) applyTraceMerges(pairs []tracer.SiteTarget) bool {
 	return true
 }
 
-// lift runs the lifter with the project's options over the current CFG. The
-// serial whole-module lift is its own wall-clock section, so its duration
-// accumulates into LiftOptWall as well as LiftTime (Total counts the wall).
-func (p *Project) lift() (*lifter.Lifted, error) {
-	t0 := time.Now()
-	lf, err := lifter.Lift(p.Img, p.Graph, lifter.Options{
-		InsertFences: p.Opts.InsertFences,
-		NaiveAtomics: p.Opts.NaiveAtomics,
-		Obs:          p.Opts.Obs,
-		ObsTID:       p.obsTID(),
-	})
-	d := time.Since(t0)
-	p.Stats.update(func() {
-		p.Stats.LiftTime += d
-		p.Stats.LiftOptWall += d
-	})
-	return lf, err
-}
-
-// applyDynamicResults marks pruned callbacks and removes fences per the
-// dynamic analyses that have run.
-func (p *Project) applyDynamicResults(lf *lifter.Lifted) {
-	if p.callbackSet != nil {
-		for addr, f := range lf.FuncByAddr {
-			if addr == p.Img.Entry {
-				continue // the program entry always needs its wrapper
-			}
-			if !p.callbackSet[addr] {
-				f.External = false
-			}
-		}
-	}
-	if p.removeFences {
-		for _, f := range lf.Mod.Funcs {
-			opt.RemoveFences(f)
-		}
-	}
-	n := 0
-	for _, f := range lf.Mod.Funcs {
-		if f.External {
-			n++
-		}
-	}
-	p.Stats.update(func() {
-		p.Stats.NumExternal = n
-		p.Stats.FencesGone = p.removeFences
-	})
-}
-
-// noCallbacks reports whether the callback analysis proved that no guest
-// function other than the entry point is ever entered from the host.
-func (p *Project) noCallbacks() bool {
-	if p.callbackSet == nil {
-		return false
-	}
-	for addr := range p.callbackSet {
-		if addr != p.Img.Entry {
-			return false
-		}
-	}
-	return true
-}
-
 // AdditiveResult describes an additive-lifting session.
 type AdditiveResult struct {
 	Result     vm.Result
@@ -704,32 +640,34 @@ func (p *Project) PruneCallbacks(inputs []Input) error {
 	return nil
 }
 
-// FenceOptimize runs the spinloop-detection pipeline (§3.4): instrument the
-// lifted module, optimize it, run the instrumented recompiled binary over
-// the inputs, analyze every loop, and — only if the whole program is proven
-// free of implicit synchronization — enable fence removal for subsequent
-// recompilations. It returns the analysis report. Each instrumented run
-// records a spindet/instrumented-run span.
+// FenceOptimize runs the spinloop-detection pipeline (§3.4): build the
+// optimized module, instrument it, run the instrumented recompiled binary
+// over the inputs, analyze every loop of the build, and — only if the whole
+// program is proven free of implicit synchronization — enable fence removal
+// for subsequent recompilations. It returns the analysis report.
+//
+// Both builds come from the builder Recompile uses (buildModule), unpruned,
+// with fences kept and optimization on; there are two because lowering
+// consumes the instrumented one. The builder is deterministic, so the sites
+// the recording covers are exactly the sites Analyze looks up; with a store,
+// the second build replays every body the first one stored. The instrumented
+// binary runs under the configured target's machine mode, as the production
+// recompile will. Each instrumented run records a spindet/instrumented-run
+// span.
 func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
-	// Instrument a fresh lift, so every original-program site gets its
-	// recording call, then optimize: the calls are side effects every pass
-	// keeps, so the recording is the one the raw lift would give, in fewer
-	// guest instructions. The configured target applies here too: the
-	// instrumented binary runs under the same machine mode the production
-	// recompile will.
-	lf, err := p.lift()
-	if err != nil {
-		return nil, err
+	if err := p.ctxErr(); err != nil {
+		return nil, fmt.Errorf("core: fence optimization cancelled: %w", err)
 	}
 	tgt := p.target()
 	if tgt == nil {
 		return nil, fmt.Errorf("core: unknown target %q", p.Opts.Target)
 	}
-	spindet.Instrument(lf.Mod)
-	optOpts := opt.Options{Verify: p.Opts.VerifyIR, Obs: p.Opts.Obs, ObsTID: p.obsTID()}
-	if err := opt.Run(lf.Mod, optOpts); err != nil {
+	st := buildState{optimize: true}
+	lf, err := p.buildModule(st)
+	if err != nil {
 		return nil, err
 	}
+	spindet.Instrument(lf.Mod)
 	res, err := lower.LowerWithOptions(lf, lower.Options{Target: tgt})
 	if err != nil {
 		return nil, err
@@ -766,16 +704,10 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 		}
 	}
 
-	// Analyze a fresh, optimized module (site IDs are deterministic across
-	// lifts of the same graph).
-	lf2, err := p.lift()
-	if err != nil {
+	if lf, err = p.buildModule(st); err != nil {
 		return nil, err
 	}
-	if err := opt.Run(lf2.Mod, optOpts); err != nil {
-		return nil, err
-	}
-	report := spindet.Analyze(lf2.Mod, recorder.Recording())
+	report := spindet.Analyze(lf.Mod, recorder.Recording())
 	if report.FencesRemovable {
 		p.removeFences = true
 	}
@@ -786,13 +718,15 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 // ablation used to quantify the fence cost).
 func (p *Project) ForceFenceRemoval() { p.removeFences = true }
 
-// LiftForDebug lifts with the project's dynamic results applied and returns
-// the lifted handle and its module (diagnostics; skips optimization).
+// LiftForDebug builds the module with the project's dynamic results applied
+// but without optimization, so nothing is inlined, and returns the lifted
+// handle and its module (diagnostics).
 func (p *Project) LiftForDebug() (*lifter.Lifted, *ir.Module, error) {
-	lf, err := p.lift()
+	st := p.buildState()
+	st.optimize = false
+	lf, err := p.buildModule(st)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.applyDynamicResults(lf)
 	return lf, lf.Mod, nil
 }

@@ -131,7 +131,9 @@ func TestObsAdditiveTimeline(t *testing.T) {
 // TestObsFenceOptimizeInstrumentedRuns checks the spinloop-detection
 // span: FenceOptimize records one spindet/instrumented-run span per input,
 // carrying the guest instructions the run executed, and closes it on the
-// success path and on a cancelled run alike.
+// success path and on a cancelled run alike. Its builds record the module
+// builder's pipeline/func spans; no serial whole-module lift or optimizer
+// span is left.
 func TestObsFenceOptimizeInstrumentedRuns(t *testing.T) {
 	tr := obs.New()
 	o := options()
@@ -169,6 +171,18 @@ func TestObsFenceOptimizeInstrumentedRuns(t *testing.T) {
 	}
 	if runs != len(inputs) {
 		t.Fatalf("instrumented-run spans = %d, want one per input (%d)", runs, len(inputs))
+	}
+	funcSpans := 0
+	for _, k := range tr.Keys() {
+		switch {
+		case k == "pipeline/func/X":
+			funcSpans++
+		case strings.HasPrefix(k, "lifter/lift-module/"), strings.HasPrefix(k, "opt/opt-module/"):
+			t.Errorf("FenceOptimize recorded %s", k)
+		}
+	}
+	if funcSpans == 0 {
+		t.Error("FenceOptimize recorded no pipeline/func span")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,16 +1,18 @@
-// Parallel, cached recompilation pipeline.
+// Parallel, cached module builder.
 //
-// Recompile fans lifting and per-function optimization out over a bounded
-// worker pool (the index-ordered collection pattern of internal/bench) and
-// replays unchanged functions from the content-addressed function cache
-// (cache.go). The determinism contract: the emitted module — and therefore
-// every byte of the lowered image — is identical for any worker count and
-// for cache-warm replays, because
+// Every module the project lowers or analyzes — Recompile's, LiftForDebug's
+// and both of FenceOptimize's — comes from buildModule, which fans lifting
+// and per-function optimization out over a bounded worker pool (the
+// index-ordered collection pattern of internal/bench) and replays unchanged
+// functions from the content-addressed function cache (cache.go). The
+// determinism contract: the emitted module — and therefore every byte of the
+// lowered image — is identical for any worker count and for cache-warm
+// replays, because
 //
 //   - the module skeleton (globals, function list, names) is built serially
 //     in entry order before any body exists (lifter.NewSkeleton);
 //   - each body is produced by a pure per-function computation (lift →
-//     fence removal → standard opt pipeline) that reads only the shared
+//     dynamic results → standard opt pipeline) that reads only the shared
 //     immutable image/graph and writes only its own function;
 //   - memory-access SiteIDs are numbered function-locally and rebased
 //     serially in entry order afterwards (lifter.FinalizeSites), exactly
@@ -80,10 +82,17 @@ func (p *Project) Recompile() (*image.Image, error) {
 			return img, nil
 		}
 	}
-	lf, err := p.buildOptimizedModule()
+	st := p.buildState()
+	lf, err := p.buildModule(st)
 	if err != nil {
 		rsp.End()
 		return nil, err
+	}
+	numExternal := 0
+	for _, f := range lf.Mod.Funcs {
+		if f.External {
+			numExternal++
+		}
 	}
 	lsp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "lower")
 	t0 := time.Now()
@@ -95,18 +104,16 @@ func (p *Project) Recompile() (*image.Image, error) {
 		p.Stats.update(func() { p.Stats.LowerTime += d })
 		return nil, err
 	}
-	var numExternal int
-	var fencesGone bool
 	p.Stats.update(func() {
 		p.Stats.LowerTime += d
 		p.Stats.CodeSize = res.CodeSize
 		p.Stats.Fences = res.Fences
+		p.Stats.NumExternal = numExternal
+		p.Stats.FencesGone = st.removeFences
 		p.Stats.Recompiles++
-		numExternal = p.Stats.NumExternal
-		fencesGone = p.Stats.FencesGone
 	})
 	if imgKeyOK {
-		if env, ok := encodeImageArtifact(res.Img, res.CodeSize, numExternal, res.Fences, fencesGone); ok {
+		if env, ok := encodeImageArtifact(res.Img, res.CodeSize, numExternal, res.Fences, st.removeFences); ok {
 			p.storePut(nsImage, imgKey, env)
 		}
 	}
@@ -136,9 +143,41 @@ func (p *Project) replayImage(key store.Key) (*image.Image, string, bool) {
 	return img, tier, true
 }
 
-// buildOptimizedModule produces the fully optimized module for the current
-// CFG, ready for lowering.
-func (p *Project) buildOptimizedModule() (*lifter.Lifted, error) {
+// buildState is the dynamic-analysis state one module build applies. The
+// builder takes it as an argument rather than reading the project, so that
+// FenceOptimize builds the plain module whatever analyses have run, and its
+// bodies are filed under the keys of what was actually built.
+type buildState struct {
+	callbacks    map[uint64]bool // observed external entries; nil = not pruned
+	removeFences bool
+	optimize     bool
+}
+
+// buildState returns the state the project's analyses have established.
+func (p *Project) buildState() buildState {
+	return buildState{callbacks: p.callbackSet, removeFences: p.removeFences, optimize: p.Opts.Optimize}
+}
+
+// noCallbacks reports whether the callback analysis proved that no guest
+// function other than the program entry is ever entered from the host.
+func (s buildState) noCallbacks(entry uint64) bool {
+	if s.callbacks == nil {
+		return false
+	}
+	for addr := range s.callbacks {
+		if addr != entry {
+			return false
+		}
+	}
+	return true
+}
+
+// buildModule lifts the current CFG with st applied, optimizing when
+// st.optimize is set, and returns the module ready for lowering or analysis.
+// Each worker task applies the dynamic results to its own function right
+// after lifting it: a function outside the callback set (never the program
+// entry) loses its external wrapper, and fence removal drops its fences.
+func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 	wall0 := time.Now()
 	defer func() {
 		d := time.Since(wall0)
@@ -154,7 +193,7 @@ func (p *Project) buildOptimizedModule() (*lifter.Lifted, error) {
 		InsertFences: p.Opts.InsertFences,
 		NaiveAtomics: p.Opts.NaiveAtomics,
 	}
-	oo := opt.Options{Verify: p.Opts.VerifyIR, NoCallbacks: p.noCallbacks()}
+	oo := opt.Options{Verify: p.Opts.VerifyIR, NoCallbacks: st.noCallbacks(p.Img.Entry)}
 
 	// One trace track per pool worker, allocated up front (AllocTID is safe
 	// concurrently, but allocating serially keeps track numbering stable):
@@ -177,7 +216,7 @@ func (p *Project) buildOptimizedModule() (*lifter.Lifted, error) {
 
 	// Fused per-function lift+optimize requires that no interprocedural
 	// stage runs between them; callback pruning introduces one (inlining).
-	fused := p.callbackSet == nil
+	fused := st.callbacks == nil
 	tgt := p.target()
 	cacheable := fused && p.store != nil && tgt != nil
 
@@ -191,9 +230,9 @@ func (p *Project) buildOptimizedModule() (*lifter.Lifted, error) {
 		ko := cacheKeyOpts{
 			insertFences: p.Opts.InsertFences,
 			naiveAtomics: p.Opts.NaiveAtomics,
-			optimize:     p.Opts.Optimize,
+			optimize:     st.optimize,
 			verifyIR:     p.Opts.VerifyIR,
-			removeFences: p.removeFences,
+			removeFences: st.removeFences,
 			target:       tgt.ID,
 		}
 		fsp := tr.Begin(p.obsTID(), "pipeline", "fingerprint")
@@ -238,24 +277,28 @@ func (p *Project) buildOptimizedModule() (*lifter.Lifted, error) {
 		}
 		counts[i] = sites
 		sp.Arg("sites", sites).Arg("lift_us", ld.Microseconds())
-		if fused {
-			f := lf.FuncByAddr[cf.Entry]
-			if p.removeFences {
-				opt.RemoveFences(f)
+		f := lf.FuncByAddr[cf.Entry]
+		if st.callbacks != nil && cf.Entry != p.Img.Entry && !st.callbacks[cf.Entry] {
+			f.External = false
+		}
+		if st.removeFences {
+			opt.RemoveFences(f)
+		}
+		if !fused {
+			return nil
+		}
+		if st.optimize {
+			t1 := time.Now()
+			oerr := opt.RunFunc(f, oo)
+			od := time.Since(t1)
+			p.Stats.update(func() { p.Stats.OptTime += od })
+			if oerr != nil {
+				return oerr
 			}
-			if p.Opts.Optimize {
-				t1 := time.Now()
-				oerr := opt.RunFunc(f, oo)
-				od := time.Since(t1)
-				p.Stats.update(func() { p.Stats.OptTime += od })
-				if oerr != nil {
-					return oerr
-				}
-				sp.Arg("opt_us", od.Microseconds())
-			}
-			if cacheable {
-				p.putFunc(keys[i], f, sites)
-			}
+			sp.Arg("opt_us", od.Microseconds())
+		}
+		if cacheable {
+			p.putFunc(keys[i], f, sites)
 		}
 		return nil
 	}
@@ -280,42 +323,25 @@ func (p *Project) buildOptimizedModule() (*lifter.Lifted, error) {
 	lf.FinalizeSites(countByEntry)
 	fssp.End()
 
-	if fused {
-		// Record the external-entry count and fence state (the fused tasks
-		// already applied fence removal per function, pre-optimization).
-		n := 0
-		for _, f := range lf.Mod.Funcs {
-			if f.External {
-				n++
-			}
-		}
-		p.Stats.update(func() {
-			p.Stats.NumExternal = n
-			p.Stats.FencesGone = p.removeFences
+	if !fused && st.optimize {
+		// Callback pruning is active: inline the de-externalized functions
+		// (§3.3.3), then optimize — per function, in parallel.
+		isp := tr.Begin(p.obsTID(), "pipeline", "inline-opt")
+		t0 := time.Now()
+		opt.Inline(lf.Mod, 300)
+		mfuncs := lf.Mod.Funcs
+		oerr := pool.RunCtx(p.Opts.Ctx, p.pipeWorkers(), len(mfuncs), func(w, i int) error {
+			sp := tr.Begin(workerTID(w), "pipeline", "opt-func",
+				obs.Arg{Key: "name", Val: mfuncs[i].Name},
+				obs.Arg{Key: "worker", Val: w})
+			defer sp.End()
+			return opt.RunFunc(mfuncs[i], oo)
 		})
-	} else {
-		// Callback pruning is active: apply the dynamic results module-wide,
-		// inline the de-externalized functions (§3.3.3), then optimize —
-		// per function, in parallel.
-		p.applyDynamicResults(lf)
-		if p.Opts.Optimize {
-			isp := tr.Begin(p.obsTID(), "pipeline", "inline-opt")
-			t0 := time.Now()
-			opt.Inline(lf.Mod, 300)
-			mfuncs := lf.Mod.Funcs
-			oerr := pool.RunCtx(p.Opts.Ctx, p.pipeWorkers(), len(mfuncs), func(w, i int) error {
-				sp := tr.Begin(workerTID(w), "pipeline", "opt-func",
-					obs.Arg{Key: "name", Val: mfuncs[i].Name},
-					obs.Arg{Key: "worker", Val: w})
-				defer sp.End()
-				return opt.RunFunc(mfuncs[i], oo)
-			})
-			od := time.Since(t0)
-			p.Stats.update(func() { p.Stats.OptTime += od })
-			isp.End()
-			if oerr != nil {
-				return nil, oerr
-			}
+		od := time.Since(t0)
+		p.Stats.update(func() { p.Stats.OptTime += od })
+		isp.End()
+		if oerr != nil {
+			return nil, oerr
 		}
 	}
 

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/image"
+	"repro/internal/spindet"
 	"repro/internal/workloads"
 )
 
@@ -209,5 +211,59 @@ func TestAdditiveBatchedConvergence(t *testing.T) {
 	}
 	if !bytes.Equal(marshalImg(t, res.Img), marshalImg(t, rec3)) {
 		t.Fatal("additive final bytes diverge from fully-traced recompile")
+	}
+}
+
+// TestFenceOptimizeBuildsThroughPipeline pins spinloop detection to the
+// module builder Recompile uses: with the default store, its second build
+// replays every body the first one stored and its optimization counts in
+// OptTime; its Report and the fence-removed recompile that follows equal a
+// cache-less project's; and it leaves the NumExternal Recompile reports
+// alone.
+func TestFenceOptimizeBuildsThroughPipeline(t *testing.T) {
+	img := compile(t, threadedSrc, 2)
+	in := []core.Input{{Seed: 1}}
+	fenceOptimize := func(o core.Options) (*core.Project, *spindet.Report) {
+		p, err := core.NewProject(img, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.FenceOptimize(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, rep
+	}
+	recompile := func(p *core.Project) []byte {
+		p.ForceFenceRemoval()
+		rec, err := p.Recompile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return marshalImg(t, rec)
+	}
+
+	p, rep := fenceOptimize(options())
+	if p.Stats.CacheHits != p.Stats.Funcs || p.Stats.OptTime <= 0 {
+		t.Fatalf("after FenceOptimize: CacheHits %d (want %d, one per function), OptTime %v (want > 0)",
+			p.Stats.CacheHits, p.Stats.Funcs, p.Stats.OptTime)
+	}
+	o := options()
+	o.NoFuncCache = true
+	ref, refRep := fenceOptimize(o)
+	if !reflect.DeepEqual(rep, refRep) {
+		t.Fatalf("report %+v, cache-less project's %+v", rep, refRep)
+	}
+	if !bytes.Equal(recompile(p), recompile(ref)) {
+		t.Fatal("recompile after FenceOptimize diverges from the cache-less project's")
+	}
+	plain, err := core.NewProject(img, options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recompile(plain)
+	if p.Stats.NumExternal != plain.Stats.NumExternal {
+		t.Fatalf("NumExternal %d after FenceOptimize, %d without it",
+			p.Stats.NumExternal, plain.Stats.NumExternal)
 	}
 }

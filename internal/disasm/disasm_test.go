@@ -301,27 +301,3 @@ func TestDecodeBlockMatchesExtent(t *testing.T) {
 		}
 	}
 }
-
-func TestGraphMerge(t *testing.T) {
-	img, syms := buildJumpTableProg(t)
-	g1, _ := disasm.Disassemble(img)
-	g2 := g1.Clone()
-	var jt1, jt2 *cfg.Block
-	for _, b := range g1.Blocks {
-		if b.Term == cfg.TermJmpInd {
-			jt1 = b
-		}
-	}
-	jt2 = g2.Blocks[jt1.Addr]
-	jt1.Targets = nil
-	jt2.Targets = []uint64{syms["case0"], syms["case1"]}
-	if added := g1.Merge(g2); added != 2 {
-		t.Fatalf("merge added %d, want 2", added)
-	}
-	if !jt1.HasTarget(syms["case0"]) || !jt1.HasTarget(syms["case1"]) {
-		t.Fatal("merge lost targets")
-	}
-	if added := g1.Merge(g2); added != 0 {
-		t.Fatal("idempotence violated")
-	}
-}

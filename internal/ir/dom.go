@@ -102,40 +102,6 @@ func (d *DomTree) Dominates(a, b *Block) bool {
 	}
 }
 
-// Frontiers computes dominance frontiers.
-func (d *DomTree) Frontiers() map[*Block][]*Block {
-	df := map[*Block][]*Block{}
-	add := func(b, f *Block) {
-		for _, x := range df[b] {
-			if x == f {
-				return
-			}
-		}
-		df[b] = append(df[b], f)
-	}
-	for _, b := range d.Order {
-		preds := d.Preds[b]
-		if len(preds) < 2 {
-			continue
-		}
-		for _, p := range preds {
-			if _, ok := d.Num[p]; !ok {
-				continue
-			}
-			runner := p
-			for runner != d.IDom[b] && runner != nil {
-				add(runner, b)
-				next := d.IDom[runner]
-				if next == runner {
-					break
-				}
-				runner = next
-			}
-		}
-	}
-	return df
-}
-
 // Loop is a natural loop.
 type Loop struct {
 	Header *Block

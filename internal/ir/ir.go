@@ -245,34 +245,6 @@ func (v *Value) IsTerminator() bool {
 	return false
 }
 
-// WritesMemory reports whether v may write guest memory.
-func (v *Value) WritesMemory() bool {
-	switch v.Op {
-	case OpStore, OpAtomicRMW, OpCmpXchg, OpCall, OpCallExt:
-		return true
-	}
-	return false
-}
-
-// ReadsMemory reports whether v may read guest memory.
-func (v *Value) ReadsMemory() bool {
-	switch v.Op {
-	case OpLoad, OpAtomicRMW, OpCmpXchg, OpCall, OpCallExt:
-		return true
-	}
-	return false
-}
-
-// IsMemBarrier reports whether the optimizer must not move memory accesses
-// across v (fences, compiler barriers, atomics, calls).
-func (v *Value) IsMemBarrier() bool {
-	switch v.Op {
-	case OpFence, OpBarrier, OpAtomicRMW, OpCmpXchg, OpCall, OpCallExt:
-		return true
-	}
-	return false
-}
-
 // Block is a basic block.
 type Block struct {
 	Name  string

@@ -63,18 +63,6 @@ func TestDominators(t *testing.T) {
 	if d.Dominates(bs["left"], bs["join"]) {
 		t.Fatal("left must not dominate join")
 	}
-	df := d.Frontiers()
-	if len(df[bs["left"]]) != 1 || df[bs["left"]][0] != bs["join"] {
-		t.Fatalf("DF(left) = %v", names(df[bs["left"]]))
-	}
-}
-
-func names(bs []*Block) []string {
-	var out []string
-	for _, b := range bs {
-		out = append(out, b.Name)
-	}
-	return out
 }
 
 func buildLoop(t *testing.T) (*Func, *Block, *Block, *Block) {
@@ -222,13 +210,7 @@ func TestHasResultAndBarrierClassification(t *testing.T) {
 	rmw := b.Append(OpAtomicRMW, addr, ld)
 	b.Append(OpRet)
 
-	if !ld.HasResult() || st.HasResult() || fence.HasResult() {
+	if !ld.HasResult() || st.HasResult() || fence.HasResult() || !rmw.HasResult() {
 		t.Fatal("HasResult misclassified")
-	}
-	if !fence.IsMemBarrier() || !rmw.IsMemBarrier() || ld.IsMemBarrier() {
-		t.Fatal("IsMemBarrier misclassified")
-	}
-	if !st.WritesMemory() || st.ReadsMemory() || !ld.ReadsMemory() {
-		t.Fatal("memory effects misclassified")
 	}
 }

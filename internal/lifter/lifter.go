@@ -35,7 +35,6 @@ import (
 	"repro/internal/image"
 	"repro/internal/ir"
 	"repro/internal/mx"
-	"repro/internal/obs"
 )
 
 // Runtime external names (bound by the recompiled binary's host runtime).
@@ -57,11 +56,6 @@ type Options struct {
 	// trap: the static-only baseline behavior (unresolved indirect transfer
 	// => crash), with no additive recovery.
 	TrapOnMiss bool
-	// Obs/ObsTID, when set, record a span for the serial whole-module Lift
-	// on the given trace track. The parallel pipeline (internal/core)
-	// records its own per-function spans instead.
-	Obs    *obs.Tracer
-	ObsTID int64
 }
 
 // Lifted is the result of lifting a binary.
@@ -75,9 +69,9 @@ type Lifted struct {
 	Graph      *cfg.Graph
 	// NumSites is the number of original-program memory access sites
 	// (loads, stores, atomics), each tagged with a deterministic SiteID.
-	// Lifting the same (image, graph) twice yields identical SiteIDs, which
-	// is how the spinloop analysis correlates dynamic records from an
-	// instrumented build with the optimized build it analyzes (§3.4.2).
+	// Lifting the same (image, graph) twice yields identical SiteIDs, so
+	// the spinloop analysis finds each site it analyzes under the ID the
+	// instrumented copy of the same build recorded (§3.4.2).
 	NumSites int
 }
 
@@ -185,9 +179,6 @@ func (lf *Lifted) FinalizeSites(counts map[uint64]int) {
 
 // Lift translates the program described by g into a PIR module.
 func Lift(img *image.Image, g *cfg.Graph, opts Options) (*Lifted, error) {
-	sp := opts.Obs.Begin(opts.ObsTID, "lifter", "lift-module",
-		obs.Arg{Key: "funcs", Val: len(g.Funcs)})
-	defer sp.End()
 	lf := NewSkeleton(img, g)
 	counts := make(map[uint64]int, len(g.Funcs))
 	for _, cf := range SortedFuncs(g) {

@@ -526,11 +526,6 @@ func (i Inst) IsTerminator() bool {
 	return false
 }
 
-// IsCall reports whether i is any flavour of call.
-func (i Inst) IsCall() bool {
-	return i.Op == CALL || i.Op == CALLR || i.Op == CALLX
-}
-
 // IsIndirect reports whether i transfers control to a target not encoded in
 // the instruction itself.
 func (i Inst) IsIndirect() bool {

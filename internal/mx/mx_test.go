@@ -146,30 +146,27 @@ func TestCondNegate(t *testing.T) {
 
 func TestClassifiers(t *testing.T) {
 	cases := []struct {
-		in                        Inst
-		term, call, indir, atomic bool
+		in                  Inst
+		term, indir, atomic bool
 	}{
-		{Inst{Op: JMP}, true, false, false, false},
-		{Inst{Op: JCC}, true, false, false, false},
-		{Inst{Op: JMPR}, true, false, true, false},
-		{Inst{Op: JMPM}, true, false, true, false},
-		{Inst{Op: RET}, true, false, false, false},
-		{Inst{Op: HLT}, true, false, false, false},
-		{Inst{Op: CALL}, false, true, false, false},
-		{Inst{Op: CALLR}, false, true, true, false},
-		{Inst{Op: CALLX}, false, true, false, false},
-		{Inst{Op: LOCKADD}, false, false, false, true},
-		{Inst{Op: CMPXCHG}, false, false, false, true},
-		{Inst{Op: XCHG}, false, false, false, true},
-		{Inst{Op: MOVRR}, false, false, false, false},
-		{Inst{Op: MFENCE}, false, false, false, false},
+		{Inst{Op: JMP}, true, false, false},
+		{Inst{Op: JCC}, true, false, false},
+		{Inst{Op: JMPR}, true, true, false},
+		{Inst{Op: JMPM}, true, true, false},
+		{Inst{Op: RET}, true, false, false},
+		{Inst{Op: HLT}, true, false, false},
+		{Inst{Op: CALL}, false, false, false},
+		{Inst{Op: CALLR}, false, true, false},
+		{Inst{Op: CALLX}, false, false, false},
+		{Inst{Op: LOCKADD}, false, false, true},
+		{Inst{Op: CMPXCHG}, false, false, true},
+		{Inst{Op: XCHG}, false, false, true},
+		{Inst{Op: MOVRR}, false, false, false},
+		{Inst{Op: MFENCE}, false, false, false},
 	}
 	for _, c := range cases {
 		if c.in.IsTerminator() != c.term {
 			t.Errorf("%v IsTerminator = %v", c.in.Op, !c.term)
-		}
-		if c.in.IsCall() != c.call {
-			t.Errorf("%v IsCall = %v", c.in.Op, !c.call)
 		}
 		if c.in.IsIndirect() != c.indir {
 			t.Errorf("%v IsIndirect = %v", c.in.Op, !c.indir)

@@ -279,17 +279,3 @@ func TestDeadStoreWithinBlock(t *testing.T) {
 		t.Fatalf("dead store not removed: %d stores", stores)
 	}
 }
-
-func TestAblationDisablePass(t *testing.T) {
-	lf := liftProgram(t, loopSrc, 0, true)
-	before := totalOps(lf.Mod, ir.OpVRegLoad)
-	err := opt.Run(lf.Mod, opt.Options{Verify: true,
-		Disable: []string{"vreg-forward", "vreg-promote", "vreg-dse"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := totalOps(lf.Mod, ir.OpVRegLoad)
-	if after < before {
-		t.Fatalf("disabled passes still ran: %d -> %d", before, after)
-	}
-}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
-	"repro/internal/obs"
 )
 
 // Pass is one transformation over a function.
@@ -36,32 +35,23 @@ func passesWith(noCallbacks bool) []Pass {
 	}
 }
 
+// maxIters bounds fixpoint iteration of the whole pipeline.
+const maxIters = 4
+
 // Options controls pipeline execution.
 type Options struct {
 	// Verify re-checks IR invariants after every pass (slow; for tests).
 	Verify bool
-	// MaxIters bounds fixpoint iteration of the whole pipeline.
-	MaxIters int
-	// Disable lists pass names to skip (ablation benchmarks).
-	Disable []string
 	// NoCallbacks asserts that the dynamic callback analysis (§3.3.3)
 	// proved no guest function is entered from the host: external calls
 	// then clobber/preserve nothing of the virtual state, unlocking
 	// aggressive elimination around them.
 	NoCallbacks bool
-	// Obs/ObsTID, when set, record a span for the serial whole-module Run
-	// on the given trace track. RunFunc records nothing: the parallel
-	// pipeline (internal/core) owns per-function spans.
-	Obs    *obs.Tracer
-	ObsTID int64
 }
 
 // Run applies the standard pipeline to every function of m until fixpoint
-// (or MaxIters, default 4).
+// (at most maxIters rounds).
 func Run(m *ir.Module, opts Options) error {
-	sp := opts.Obs.Begin(opts.ObsTID, "opt", "opt-module",
-		obs.Arg{Key: "funcs", Val: len(m.Funcs)})
-	defer sp.End()
 	for _, f := range m.Funcs {
 		if err := RunFunc(f, opts); err != nil {
 			return err
@@ -74,28 +64,17 @@ func Run(m *ir.Module, opts Options) error {
 }
 
 // RunFunc applies the standard pipeline to the single function f until
-// fixpoint (or MaxIters, default 4). Every standard pass transforms only f
+// fixpoint (at most maxIters rounds). Every standard pass transforms only f
 // and reads nothing mutable outside it, so distinct functions may be
 // optimized concurrently — the parallel recompilation pipeline
 // (internal/core) fans RunFunc out over a worker pool. Interprocedural
 // transformations (Inline) are not part of the standard pipeline and must
 // run serially between lifting and RunFunc.
 func RunFunc(f *ir.Func, opts Options) error {
-	max := opts.MaxIters
-	if max <= 0 {
-		max = 4
-	}
-	skip := map[string]bool{}
-	for _, n := range opts.Disable {
-		skip[n] = true
-	}
 	passes := passesWith(opts.NoCallbacks)
-	for iter := 0; iter < max; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		changed := false
 		for _, p := range passes {
-			if skip[p.Name] {
-				continue
-			}
 			if p.Run(f) {
 				changed = true
 				if opts.Verify {

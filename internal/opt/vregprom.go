@@ -152,10 +152,6 @@ type promoKey struct {
 	b *ir.Block
 }
 
-// hardMarker is a sentinel key in block summaries marking "this block
-// contains a call/barrier that clobbers every global".
-var hardMarker = &ir.Global{Name: "<hard-barrier>"}
-
 // outState summarizes a block's effect on one global.
 type outState struct {
 	val         *ir.Value // value at block end, if locally known
@@ -172,8 +168,6 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 
 	// Per-block local summaries and the set of promotable entry loads.
 	outs := map[*ir.Block]map[*ir.Global]outState{}
-	hardBarrier := map[*ir.Block]bool{} // no ops fully clobber today
-	_ = hardBarrier
 	type topLoad struct {
 		b   *ir.Block
 		v   *ir.Value
@@ -223,17 +217,11 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 		if barrier {
 			o[nil] = outState{killed: true} // marker: block had a barrier
 		}
-		if hardBarrier[b] {
-			o[hardMarker] = outState{killed: true}
-		}
 	}
 	blockKilled := func(b *ir.Block, g *ir.Global) outState {
 		o := outs[b]
 		if st, ok := o[g]; ok {
 			return st
-		}
-		if _, hard := o[hardMarker]; hard {
-			return outState{killed: true}
 		}
 		if _, had := o[nil]; had {
 			// Only call barriers: callee-saved state flows through (and

@@ -75,40 +75,6 @@ type Recording struct {
 	Sites map[int]*SiteRec
 }
 
-// Merge folds another recording into r (merging across runs, §3.4.2).
-func (r *Recording) Merge(other *Recording) {
-	for id, o := range other.Sites {
-		rec := r.Sites[id]
-		if rec == nil {
-			rec = newSiteRec()
-			r.Sites[id] = rec
-		}
-		if o.Class > rec.Class {
-			rec.Class = o.Class
-		}
-		rec.Overflow = rec.Overflow || o.Overflow
-		rec.OffsOverflow = rec.OffsOverflow || o.OffsOverflow
-		if o.Max != 0 || o.Min != ^uint64(0) {
-			rec.bound(o.Min)
-			rec.bound(o.Max)
-		}
-		for a := range o.Addrs {
-			if len(rec.Addrs) >= maxAddrsPerSite {
-				rec.Overflow = true
-				break
-			}
-			rec.Addrs[a] = true
-		}
-		for a := range o.Offs {
-			if len(rec.Offs) >= maxAddrsPerSite {
-				rec.OffsOverflow = true
-				break
-			}
-			rec.Offs[a] = true
-		}
-	}
-}
-
 func newSiteRec() *SiteRec {
 	return &SiteRec{Class: ClassUnseen, Addrs: map[uint64]bool{}, Offs: map[uint64]bool{},
 		Min: ^uint64(0)}
@@ -191,11 +157,11 @@ func (r *Recorder) Exts() map[string]vm.ExtFunc {
 
 // Instrument inserts a __polynima_recmem call before every original-program
 // memory access site (loads, stores, atomics) of the module. It returns the
-// number of instrumented sites. Instrument the freshly lifted module, then
-// optimize it if the build should run fast: each recording call is an
-// external call, which no pass removes, merges or moves a memory access
-// across, so every executed site still reports the same addresses, and the
-// site IDs stay those of the fresh lift that Analyze looks up.
+// number of instrumented sites. Instrument the optimized module Analyze will
+// see, or a build identical to it: the recording then covers every site
+// Analyze looks up under the same ID, and since no optimization pass runs
+// after the calls go in, none blocks forwarding or promotion around an
+// access.
 func Instrument(m *ir.Module) int {
 	n := 0
 	for _, f := range m.Funcs {

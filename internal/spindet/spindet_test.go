@@ -209,24 +209,6 @@ func main() {
 	}
 }
 
-func TestMergeRecordingsAcrossRuns(t *testing.T) {
-	r1 := spindet.NewRecorder().Recording()
-	r2 := spindet.NewRecorder().Recording()
-	r1.Sites[1] = &spindet.SiteRec{Class: spindet.ClassLocal, Addrs: map[uint64]bool{0x10: true}}
-	r2.Sites[1] = &spindet.SiteRec{Class: spindet.ClassShared, Addrs: map[uint64]bool{0x20: true}}
-	r2.Sites[2] = &spindet.SiteRec{Class: spindet.ClassLocal, Addrs: map[uint64]bool{0x30: true}}
-	r1.Merge(r2)
-	if r1.Sites[1].Class != spindet.ClassShared {
-		t.Fatalf("merge did not escalate to shared: %v", r1.Sites[1].Class)
-	}
-	if !r1.Sites[1].Addrs[0x10] || !r1.Sites[1].Addrs[0x20] {
-		t.Fatal("merge lost addresses")
-	}
-	if r1.Sites[2] == nil || r1.Sites[2].Class != spindet.ClassLocal {
-		t.Fatal("merge dropped new site")
-	}
-}
-
 // TestReportDeterministic repeats the pipeline over two loops whose Reason
 // could name more than one place: one with never-executed sites in two
 // blocks, and a covered one with two exits that both depend on the loop

@@ -156,9 +156,10 @@ func TestCKitLocksDetectedAsSpinning(t *testing.T) {
 }
 
 // TestFenceOptimizeMatchesUnoptimizedInstrumentation pins the contract that
-// lets FenceOptimize optimize its instrumented build: every recording call
-// survives the standard passes, so the Report equals the one built from an
-// unoptimized instrumented build of the same graph.
+// lets FenceOptimize instrument the optimized build it analyzes:
+// instrumenting the optimized build records every analyzed site, so the
+// Report equals the one built from an unoptimized instrumented build of the
+// same graph.
 func TestFenceOptimizeMatchesUnoptimizedInstrumentation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
