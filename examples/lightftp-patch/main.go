@@ -135,7 +135,7 @@ func instrumentPathChecks(m *ir.Module) {
 				}
 				call := f.NewValue(ir.OpCallExt)
 				call.ExtName = hook
-				call.Args = []*ir.Value{v.Args[0]} // the path argument
+				call.SetArgs(v.Args[0]) // the path argument
 				b.InsertBefore(call, i)
 				i++
 			}

@@ -237,3 +237,29 @@ func TestPoisonedCFGArtifactFallsBackToDisassembly(t *testing.T) {
 		t.Fatalf("poisoned cfg artifact survived: %v", err)
 	}
 }
+
+// TestNoStoreComputesNoKeys pins that a project with the artifact store off
+// derives no cfg, trace or image key, so it fingerprints, marshals and
+// encodes nothing for artifacts it would throw away; the same project with
+// the store on derives all three.
+func TestNoStoreComputesNoKeys(t *testing.T) {
+	img, _, err := cc.Compile(edgeFptrSrc, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []bool{true, false} {
+		o := DefaultOptions()
+		o.NoFuncCache = off
+		p, err := NewProject(img, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cfgOK := p.cfgKey()
+		_, traceOK := p.traceKey(p.runsKey(p.tracerRuns(nil)))
+		_, imageOK := p.imageKey()
+		if cfgOK == off || traceOK == off || imageOK == off {
+			t.Errorf("NoFuncCache=%v: cfg, trace, image keys derived = %v, %v, %v; want %v",
+				off, cfgOK, traceOK, imageOK, !off)
+		}
+	}
+}

@@ -61,14 +61,11 @@ var (
 )
 
 // storeGet probes the project's artifact store and attributes the outcome
-// to the per-tier stats counters. Returns misses when the store is off.
+// to the per-tier stats counters. Callers hold a key, so the store is on.
 // "Disk" in the counter names means any backing tier — disk, remote, or a
 // chain of both; the Store interface's tier string distinguishes them in
 // spans and in the per-tier Counters.
 func (p *Project) storeGet(ns string, key store.Key) ([]byte, string, bool) {
-	if p.store == nil {
-		return nil, "", false
-	}
 	data, tier, ok := p.store.Get(ns, key)
 	hasBacking := p.store.HasBacking()
 	p.Stats.update(func() {
@@ -88,17 +85,18 @@ func (p *Project) storeGet(ns string, key store.Key) ([]byte, string, bool) {
 	return data, tier, ok
 }
 
-// storePut stores an artifact (write-through to every tier); no-op when the
-// store is off.
+// storePut stores an artifact (write-through to every tier).
 func (p *Project) storePut(ns string, key store.Key, data []byte) {
-	if p.store != nil {
-		p.store.Put(ns, key, data)
-	}
+	p.store.Put(ns, key, data)
 }
 
 // imageFP is the fingerprint of the input image bytes, the root of every
-// artifact key. Computed once per project.
+// artifact key. Computed once per project; with the store off there is no
+// key to compute, so every artifact key and payload is skipped.
 func (p *Project) imageFP() (store.Key, bool) {
+	if p.store == nil {
+		return store.Key{}, false
+	}
 	p.imgFPOnce.Do(func() {
 		data, err := p.Img.Marshal()
 		if err != nil {

@@ -1,6 +1,6 @@
 package ir
 
-// Dominator tree, dominance frontiers, and natural-loop detection.
+// Dominator tree and natural-loop detection.
 // Used by the vreg-promotion (mem2reg) pass and by the spinloop analysis
 // (§3.4.2 runs a loop-simplify-style restructuring before classifying loop
 // termination conditions).

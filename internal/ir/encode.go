@@ -160,10 +160,13 @@ func decodeFuncInto(dst *Func, data []byte, globalOf func(string) *Global, funcO
 		b := dst.NewBlock(d.str())
 		b.OrigAddr = d.uv()
 		ninsts[i] = d.uv()
+		// Every instruction takes at least one byte, so a count above the
+		// bytes left is corrupt; checking before adding keeps total from
+		// wrapping.
+		if d.err != nil || ninsts[i] > uint64(len(data))-total {
+			return fmt.Errorf("ir: decode %s: corrupt block table", dst.Name)
+		}
 		total += ninsts[i]
-	}
-	if d.err != nil || total > uint64(len(data)) {
-		return fmt.Errorf("ir: decode %s: corrupt block table", dst.Name)
 	}
 
 	// First pass: materialize every value with its scalar attributes and
@@ -254,13 +257,14 @@ func decodeFuncInto(dst *Func, data []byte, globalOf func(string) *Global, funcO
 		if len(argOrds[i]) == 0 {
 			continue
 		}
-		v.Args = make([]*Value, len(argOrds[i]))
+		args := make([]*Value, len(argOrds[i]))
 		for j, o := range argOrds[i] {
 			if o >= uint64(len(values)) {
 				return fmt.Errorf("ir: decode %s: operand ordinal out of range", dst.Name)
 			}
-			v.Args[j] = values[o]
+			args[j] = values[o]
 		}
+		v.SetArgs(args...)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package ir_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/ir"
@@ -134,6 +135,7 @@ func TestDecodeRejectsMalformedData(t *testing.T) {
 		"bad-magic": append([]byte("XIRF9\n"), enc[6:]...),
 		"truncated": enc[:len(enc)/3],
 		"trailing":  append(append([]byte(nil), enc...), 0xee),
+		"wrapped":   wrappedBlockTable(),
 	}
 	for name, data := range cases {
 		dst := &ir.Func{Name: f.Name}
@@ -162,4 +164,58 @@ func TestEncodeIsDeterministic(t *testing.T) {
 	if !bytes.Equal(e1, e2) {
 		t.Fatal("two identical bodies encoded differently")
 	}
+}
+
+// wrappedBlockTable is a 64-byte body whose block table counts 2^64-1 and 2
+// instructions: their sum wraps to 1, below the payload's length, so a
+// decoder that checks only the sum loops 2^64-1 times.
+func wrappedBlockTable() []byte {
+	b := []byte("\x06PIRF1\n")
+	b = append(b, 0, 0, 0, 0, 2) // flags, params, entry, next ID, 2 blocks
+	for _, n := range []uint64{^uint64(0), 2} {
+		b = append(b, 0, 0) // empty name, orig addr 0
+		b = binary.AppendUvarint(b, n)
+	}
+	return append(b, make([]byte, 64-len(b))...)
+}
+
+// FuzzDecodeFuncInto feeds arbitrary bytes to the func-artifact decoder, as
+// any store client may PUT them. The decoder must return an error or a body
+// whose use lists are consistent and which re-encodes; it must never panic
+// or hang. Every symbol name resolves, to a fresh global or function, so
+// the fuzzer reaches past symbol resolution. The committed corpus holds
+// EncodeFunc of every function of three optimized workloads.
+func FuzzDecodeFuncInto(f *testing.F) {
+	_, sample := buildSample()
+	enc, err := ir.EncodeFunc(sample)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add(wrappedBlockTable())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := ir.NewModule("fuzz")
+		globalOf := func(name string) *ir.Global {
+			if g := m.Global(name); g != nil {
+				return g
+			}
+			return m.NewGlobal(name, 8)
+		}
+		funcOf := func(name string) *ir.Func {
+			if fn := m.Func(name); fn != nil {
+				return fn
+			}
+			return m.NewFunc(name)
+		}
+		dst := &ir.Func{Name: "fuzz", Mod: m}
+		if ir.DecodeFuncInto(dst, data, globalOf, funcOf) != nil {
+			return
+		}
+		if err := ir.VerifyUses(dst); err != nil {
+			t.Fatalf("decoded body: %v", err)
+		}
+		if _, err := ir.EncodeFunc(dst); err != nil {
+			t.Fatalf("decoded body does not re-encode: %v", err)
+		}
+	})
 }

@@ -19,10 +19,11 @@
 //     their known-target sets, with a default edge to the control-flow-miss
 //     handler (additive lifting, §3.2).
 //
-// The package also provides dominator trees, dominance frontiers and
-// natural-loop detection (dom.go), a verifier (verify.go) and a printer
-// (print.go); the optimization passes live in internal/opt and the spinloop
-// analysis in internal/spindet.
+// Each value lists its users (def-use lists, kept by the operand helpers).
+// The package also provides dominator trees and natural-loop detection
+// (dom.go), a verifier (verify.go) and a printer (print.go); the
+// optimization passes live in internal/opt and the spinloop analysis in
+// internal/spindet.
 package ir
 
 import "fmt"
@@ -223,6 +224,70 @@ type Value struct {
 	// lifted from (0 for synthesized values); used for diagnostics and for
 	// mapping analysis results back to machine code.
 	OrigPC uint64
+
+	// uses lists the instructions naming v as an operand, one entry per
+	// operand slot, in no particular order. The operand helpers below keep
+	// it current, so Args must only be written through them.
+	uses []*Value
+}
+
+// NumUses returns the number of operand slots, across the instructions of
+// v's function, that name v.
+func (v *Value) NumUses() int { return len(v.uses) }
+
+// SetArgs replaces v's operands. With no arguments it drops every use v
+// holds, as an instruction leaving its function other than through
+// Block.RemoveAt must.
+func (v *Value) SetArgs(args ...*Value) {
+	for _, a := range v.Args {
+		a.dropUse(v)
+	}
+	v.Args = args
+	for _, a := range args {
+		a.addUse(v)
+	}
+}
+
+// SetArg replaces operand i of v.
+func (v *Value) SetArg(i int, a *Value) {
+	if v.Args[i] != a {
+		v.Args[i].dropUse(v)
+		v.Args[i] = a
+		a.addUse(v)
+	}
+}
+
+// AddArg appends an operand (phi construction).
+func (v *Value) AddArg(a *Value) {
+	v.Args = append(v.Args, a)
+	a.addUse(v)
+}
+
+// RemoveArg deletes operand i of v, shifting the later ones down.
+func (v *Value) RemoveArg(i int) {
+	v.Args[i].dropUse(v)
+	v.Args = append(v.Args[:i], v.Args[i+1:]...)
+}
+
+func (v *Value) addUse(user *Value) {
+	if v != nil {
+		v.uses = append(v.uses, user)
+	}
+}
+
+// dropUse deletes one of user's entries by swapping the last entry in.
+func (v *Value) dropUse(user *Value) {
+	if v == nil {
+		return
+	}
+	for i, u := range v.uses {
+		if u == user {
+			last := len(v.uses) - 1
+			v.uses[i], v.uses[last] = v.uses[last], nil
+			v.uses = v.uses[:last]
+			return
+		}
+	}
 }
 
 // HasResult reports whether v produces an SSA result.
@@ -317,10 +382,24 @@ func (f *Func) NewValue(op Op) *Value {
 	return &Value{ID: f.nextID, Op: op}
 }
 
+// NewValueLike creates a value owned by f with v's op and attributes and
+// its own copies of v's Targets, SwitchVals and PhiPreds, but no block,
+// operands or uses.
+func (f *Func) NewValueLike(v *Value) *Value {
+	nv := f.NewValue(v.Op)
+	id := nv.ID
+	*nv = *v
+	nv.ID, nv.Block, nv.Args, nv.uses = id, nil, nil, nil
+	nv.Targets = append([]*Block(nil), v.Targets...)
+	nv.SwitchVals = append([]int64(nil), v.SwitchVals...)
+	nv.PhiPreds = append([]*Block(nil), v.PhiPreds...)
+	return nv
+}
+
 // Append creates a value and appends it to block b.
 func (b *Block) Append(op Op, args ...*Value) *Value {
 	v := b.Func.NewValue(op)
-	v.Args = args
+	v.SetArgs(args...)
 	v.Block = b
 	b.Insts = append(b.Insts, v)
 	return v
@@ -334,8 +413,13 @@ func (b *Block) InsertBefore(v *Value, idx int) {
 	b.Insts[idx] = v
 }
 
-// RemoveAt removes the instruction at idx.
+// RemoveAt deletes the instruction at idx from the function: its operands
+// no longer list it as a user. Its Args are left as they were.
 func (b *Block) RemoveAt(idx int) {
+	v := b.Insts[idx]
+	for _, a := range v.Args {
+		a.dropUse(v)
+	}
 	b.Insts = append(b.Insts[:idx], b.Insts[idx+1:]...)
 }
 
@@ -387,15 +471,19 @@ func Preds(f *Func) map[*Block][]*Block {
 	return preds
 }
 
-// ReplaceAllUses rewrites every operand reference to old with new within f.
-func ReplaceAllUses(f *Func, old, new *Value) {
-	for _, b := range f.Blocks {
-		for _, v := range b.Insts {
-			for i, a := range v.Args {
-				if a == old {
-					v.Args[i] = new
-				}
+// ReplaceAllUses rewrites every operand slot naming old to name new. It
+// walks only old's use list, which it hands over to new.
+func ReplaceAllUses(old, new *Value) {
+	if old == new {
+		return
+	}
+	for _, u := range old.uses {
+		for i, a := range u.Args {
+			if a == old {
+				u.Args[i] = new
 			}
 		}
 	}
+	new.uses = append(new.uses, old.uses...)
+	old.uses = nil
 }

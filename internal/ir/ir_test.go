@@ -160,6 +160,16 @@ func TestVerifyCatchesErrors(t *testing.T) {
 	if err := Verify(m4); err == nil || !strings.Contains(err.Error(), "dominate") {
 		t.Fatalf("err = %v", err)
 	}
+
+	// An operand written without the helpers leaves stale use lists.
+	_, f5, bs5 := buildDiamond(t)
+	if err := VerifyUses(f5); err != nil {
+		t.Fatal(err)
+	}
+	bs5["join"].Insts[1].Args[0] = bs5["entry"].Insts[0]
+	if err := VerifyUses(f5); err == nil {
+		t.Fatal("a direct operand write passed VerifyUses")
+	}
 }
 
 func TestPrinterSmoke(t *testing.T) {
@@ -183,15 +193,27 @@ func TestReplaceAllUses(t *testing.T) {
 	// Move c to entry so it dominates uses... simpler: replace phi uses.
 	bs["join"].RemoveAt(0)
 	bs["entry"].InsertBefore(c, 0)
-	ReplaceAllUses(f, phi, c)
+	if phi.NumUses() != 2 || c.NumUses() != 0 {
+		t.Fatalf("before: phi has %d uses, c %d; want 2, 0", phi.NumUses(), c.NumUses())
+	}
+	ReplaceAllUses(phi, c)
 	add := bs["join"].Insts[1]
 	if add.Args[0] != c || add.Args[1] != c {
 		t.Fatal("uses not replaced")
+	}
+	if phi.NumUses() != 0 || c.NumUses() != 2 {
+		t.Fatalf("after: phi has %d uses, c %d; want 0, 2", phi.NumUses(), c.NumUses())
+	}
+	if err := VerifyUses(f); err != nil {
+		t.Fatal(err)
 	}
 	// phi is now dead but still present; module must still verify after
 	// removing it.
 	bs["join"].RemoveAt(0)
 	if err := Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyUses(f); err != nil {
 		t.Fatal(err)
 	}
 }

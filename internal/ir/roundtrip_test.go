@@ -51,6 +51,9 @@ func TestEncodeRoundTripAllWorkloads(t *testing.T) {
 				if err := ir.DecodeFuncInto(dst, enc, lf.Mod.Global, lf.Mod.Func); err != nil {
 					t.Fatalf("%s: decode: %v", f.Name, err)
 				}
+				if err := ir.VerifyUses(dst); err != nil {
+					t.Fatalf("%s: decoded use lists: %v", f.Name, err)
+				}
 				if got, want := dst.String(), f.String(); got != want {
 					t.Fatalf("%s: decoded body prints differently:\n--- want\n%s\n--- got\n%s", f.Name, want, got)
 				}

@@ -136,3 +136,55 @@ func VerifyFunc(f *Func) error {
 	}
 	return nil
 }
+
+// VerifyUses checks f's def-use lists against its operand slots: each value
+// an instruction of f names, and each instruction of f, lists exactly the
+// instructions of f that name it, once per slot. It costs a map over all
+// uses, so only Verify runs (the optimizer under Options.Verify) call it.
+func VerifyUses(f *Func) error {
+	type use struct{ def, user *Value }
+	slots := map[use]int{} // operand slots of f's instructions
+	inF := map[*Value]bool{}
+	var defs []*Value // f's instructions, then the outside values they name
+	for _, b := range f.Blocks {
+		for _, v := range b.Insts {
+			inF[v] = true
+			defs = append(defs, v)
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Insts {
+			for _, a := range v.Args {
+				if a == nil {
+					continue // VerifyFunc reports nil operands
+				}
+				if _, seen := inF[a]; !seen {
+					inF[a] = false
+					defs = append(defs, a)
+				}
+				slots[use{a, v}]++
+			}
+		}
+	}
+	for _, d := range defs {
+		for _, u := range d.uses {
+			if !inF[u] {
+				return fmt.Errorf("%%%d lists user %%%d, which is not an instruction of the function", d.ID, u.ID)
+			}
+			if slots[use{d, u}] == 0 {
+				return fmt.Errorf("%%%d lists user %%%d more often than it is named", d.ID, u.ID)
+			}
+			slots[use{d, u}]--
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Insts {
+			for _, a := range v.Args {
+				if a != nil && slots[use{a, v}] != 0 {
+					return fmt.Errorf("%s names %%%d, whose use list misses it", v, a.ID)
+				}
+			}
+		}
+	}
+	return nil
+}

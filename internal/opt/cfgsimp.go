@@ -28,6 +28,9 @@ func SimplifyCFG(f *ir.Func) bool {
 			live = append(live, b)
 		} else {
 			changed = true
+			for _, v := range b.Insts {
+				v.SetArgs()
+			}
 			for _, s := range b.Succs() {
 				if reach[s] {
 					removePhiEdge(s, b)
@@ -39,7 +42,6 @@ func SimplifyCFG(f *ir.Func) bool {
 
 	// 2. Trivial-phi elimination: single-entry phis, and phis whose
 	// non-self operands are all the same value.
-	preds := ir.Preds(f)
 	for again := true; again; {
 		again = false
 		for _, b := range f.Blocks {
@@ -62,7 +64,7 @@ func SimplifyCFG(f *ir.Func) bool {
 					}
 				}
 				if trivial && uniq != nil {
-					ir.ReplaceAllUses(f, v, uniq)
+					ir.ReplaceAllUses(v, uniq)
 					b.RemoveAt(i)
 					i--
 					changed = true
@@ -71,13 +73,12 @@ func SimplifyCFG(f *ir.Func) bool {
 			}
 		}
 	}
-	_ = preds
 
 	// 3. Merge b -> s where b ends in an unconditional branch and s has
 	// exactly that one predecessor edge.
 	for mergedOne := true; mergedOne; {
 		mergedOne = false
-		preds = ir.Preds(f)
+		preds := ir.Preds(f)
 		for _, b := range f.Blocks {
 			t := b.Term()
 			if t == nil || t.Op != ir.OpBr {
@@ -116,7 +117,7 @@ func SimplifyCFG(f *ir.Func) bool {
 
 	// 4. Thread trivial forwarding blocks: a block containing only a br
 	// whose target has no phis can be bypassed.
-	preds = ir.Preds(f)
+	preds := ir.Preds(f)
 	for _, b := range f.Blocks {
 		if b == f.Entry() || len(b.Insts) != 1 {
 			continue

@@ -1,10 +1,6 @@
 package opt
 
-import (
-	"fmt"
-
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // LocalCSE performs block-local value numbering over pure operations, so
 // that syntactically identical expressions (in particular, recomputed
@@ -14,16 +10,17 @@ import (
 // address.
 func LocalCSE(f *ir.Func) bool {
 	changed := false
+	table := map[cseKey]*ir.Value{}
 	for _, b := range f.Blocks {
-		table := map[string]*ir.Value{}
+		clear(table)
 		for i := 0; i < len(b.Insts); i++ {
 			v := b.Insts[i]
-			if !isPureOp(v) {
+			key, ok := cseKeyOf(v)
+			if !ok {
 				continue
 			}
-			key := cseKey(v)
 			if prev, ok := table[key]; ok {
-				ir.ReplaceAllUses(f, v, prev)
+				ir.ReplaceAllUses(v, prev)
 				b.RemoveAt(i)
 				i--
 				changed = true
@@ -35,29 +32,37 @@ func LocalCSE(f *ir.Func) bool {
 	return changed
 }
 
-func isPureOp(v *ir.Value) bool {
-	switch v.Op {
-	case ir.OpConst, ir.OpGlobalAddr, ir.OpFuncAddr,
-		ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLshr, ir.OpAshr,
-		ir.OpNeg, ir.OpNot, ir.OpICmp, ir.OpSelect:
-		return true
-	}
-	return false
+// cseKey identifies a pure value up to equality: constants by value,
+// addresses by symbol name, everything else by op, predicate and operands.
+type cseKey struct {
+	op    ir.Op
+	pred  ir.Pred
+	c     int64
+	sym   string
+	nargs int
+	args  [3]*ir.Value
 }
 
-func cseKey(v *ir.Value) string {
+// cseKeyOf returns v's key, or false when v is not a pure operation.
+func cseKeyOf(v *ir.Value) (cseKey, bool) {
+	k := cseKey{op: v.Op}
 	switch v.Op {
 	case ir.OpConst:
-		return fmt.Sprintf("c%d", v.Const)
+		k.c = v.Const
 	case ir.OpGlobalAddr:
-		return "g" + v.Global.Name
+		k.sym = v.Global.Name
 	case ir.OpFuncAddr:
-		return "f" + v.Fn.Name
+		k.sym = v.Fn.Name
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLshr, ir.OpAshr,
+		ir.OpNeg, ir.OpNot, ir.OpICmp, ir.OpSelect:
+		if len(v.Args) > len(k.args) {
+			return k, false
+		}
+		k.pred, k.nargs = v.Pred, len(v.Args)
+		copy(k.args[:], v.Args)
+	default:
+		return k, false
 	}
-	key := fmt.Sprintf("%d/%d:", v.Op, v.Pred)
-	for _, a := range v.Args {
-		key += fmt.Sprintf("%d,", a.ID)
-	}
-	return key
+	return k, true
 }

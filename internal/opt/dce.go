@@ -19,12 +19,11 @@ func DCE(f *ir.Func) bool {
 	}
 	changed := false
 	for {
-		uses := countUses(f)
 		removed := false
 		for _, b := range f.Blocks {
 			for i := len(b.Insts) - 1; i >= 0; i-- {
 				v := b.Insts[i]
-				if removable(v) && uses[v] == 0 {
+				if removable(v) && v.NumUses() == 0 {
 					b.RemoveAt(i)
 					removed = true
 				}

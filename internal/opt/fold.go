@@ -16,7 +16,7 @@ func ConstFold(f *ir.Func) bool {
 					b.InsertBefore(r, i)
 					i++
 				}
-				ir.ReplaceAllUses(f, v, r)
+				ir.ReplaceAllUses(v, r)
 				// Remove the simplified instruction (it is pure by
 				// construction — only pure ops are simplified).
 				for j, in := range b.Insts {
@@ -44,13 +44,13 @@ func ConstFold(f *ir.Func) bool {
 				if c == 0 {
 					target, dead = dead, target
 				}
-				replaceTerm(b, t, target)
+				replaceTerm(b, target)
 				removePhiEdge(dead, b)
 				changed = true
 			} else if t.Targets[0] == t.Targets[1] {
 				// Both edges identical: drop one phi edge, then branch.
 				removePhiEdge(t.Targets[0], b)
-				replaceTerm(b, t, t.Targets[0])
+				replaceTerm(b, t.Targets[0])
 				changed = true
 			}
 		case ir.OpSwitch:
@@ -77,7 +77,7 @@ func ConstFold(f *ir.Func) bool {
 						removePhiEdge(tb, b)
 					}
 				}
-				replaceTerm(b, t, target)
+				replaceTerm(b, target)
 				changed = true
 			}
 		}
@@ -132,7 +132,7 @@ func simplify(f *ir.Func, v *ir.Value) *ir.Value {
 					nc := newConst(f, c1+c2)
 					b.InsertBefore(nc, pos)
 					nv := f.NewValue(ir.OpAdd)
-					nv.Args = []*ir.Value{in.Args[0], nc}
+					nv.SetArgs(in.Args[0], nc)
 					b.InsertBefore(nv, pos+1)
 					return nv
 				}
@@ -162,7 +162,7 @@ func simplify(f *ir.Func, v *ir.Value) *ir.Value {
 			nc := newConst(f, -c)
 			b.InsertBefore(nc, pos)
 			nv := f.NewValue(ir.OpAdd)
-			nv.Args = []*ir.Value{v.Args[0], nc}
+			nv.SetArgs(v.Args[0], nc)
 			b.InsertBefore(nv, pos+1)
 			return nv
 		}
@@ -271,7 +271,7 @@ func simplify(f *ir.Func, v *ir.Value) *ir.Value {
 				case ir.PredEQ:
 					nv := f.NewValue(ir.OpICmp)
 					nv.Pred = negatePred(in.Pred)
-					nv.Args = []*ir.Value{in.Args[0], in.Args[1]}
+					nv.SetArgs(in.Args[0], in.Args[1])
 					return nv
 				case ir.PredNE:
 					return in
@@ -352,12 +352,9 @@ func negatePred(p ir.Pred) ir.Pred {
 }
 
 // replaceTerm swaps a block's terminator for an unconditional branch.
-func replaceTerm(b *ir.Block, old *ir.Value, target *ir.Block) {
-	br := b.Func.NewValue(ir.OpBr)
-	br.Targets = []*ir.Block{target}
-	br.Block = b
-	b.Insts[len(b.Insts)-1] = br
-	_ = old
+func replaceTerm(b *ir.Block, target *ir.Block) {
+	b.RemoveAt(len(b.Insts) - 1)
+	b.Append(ir.OpBr).Targets = []*ir.Block{target}
 }
 
 // removePhiEdge deletes the phi entries in block `to` for edges from `from`,
@@ -370,7 +367,7 @@ func removePhiEdge(to, from *ir.Block) {
 		}
 		for i, p := range v.PhiPreds {
 			if p == from {
-				v.Args = append(v.Args[:i], v.Args[i+1:]...)
+				v.RemoveArg(i)
 				v.PhiPreds = append(v.PhiPreds[:i], v.PhiPreds[i+1:]...)
 				break
 			}

@@ -72,6 +72,7 @@ func inlineCall(f *ir.Func, b *ir.Block, idx int, callee *ir.Func) {
 	for _, s := range b.Succs() {
 		retargetPhiPred(s, b, tail)
 	}
+	b.Insts[idx].SetArgs()  // the call leaves the function
 	b.Insts = b.Insts[:idx] // drop the call and the tail
 
 	// Clone the callee.
@@ -85,15 +86,8 @@ func inlineCall(f *ir.Func, b *ir.Block, idx int, callee *ir.Func) {
 	for _, cb := range callee.Blocks {
 		nb := bmap[cb]
 		for _, cv := range cb.Insts {
-			nv := f.NewValue(cv.Op)
-			id := nv.ID
-			*nv = *cv
-			nv.ID = id
+			nv := f.NewValueLike(cv)
 			nv.Block = nb
-			nv.Args = append([]*ir.Value(nil), cv.Args...)
-			nv.Targets = append([]*ir.Block(nil), cv.Targets...)
-			nv.SwitchVals = append([]int64(nil), cv.SwitchVals...)
-			nv.PhiPreds = append([]*ir.Block(nil), cv.PhiPreds...)
 			nb.Insts = append(nb.Insts, nv)
 			vmap[cv] = nv
 		}
@@ -102,12 +96,15 @@ func inlineCall(f *ir.Func, b *ir.Block, idx int, callee *ir.Func) {
 	// branch to the tail.
 	for _, cb := range callee.Blocks {
 		nb := bmap[cb]
-		for _, nv := range nb.Insts {
-			for i, a := range nv.Args {
+		for j, nv := range nb.Insts {
+			var args []*ir.Value
+			for _, a := range cb.Insts[j].Args {
 				if na, ok := vmap[a]; ok {
-					nv.Args[i] = na
+					a = na
 				}
+				args = append(args, a)
 			}
+			nv.SetArgs(args...)
 			for i, t := range nv.Targets {
 				nv.Targets[i] = bmap[t]
 			}
@@ -116,15 +113,10 @@ func inlineCall(f *ir.Func, b *ir.Block, idx int, callee *ir.Func) {
 			}
 		}
 		if t := nb.Term(); t != nil && t.Op == ir.OpRet {
-			br := f.NewValue(ir.OpBr)
-			br.Block = nb
-			br.Targets = []*ir.Block{tail}
-			nb.Insts[len(nb.Insts)-1] = br
+			nb.RemoveAt(len(nb.Insts) - 1)
+			nb.Append(ir.OpBr).Targets = []*ir.Block{tail}
 		}
 	}
 	// Branch from the call site into the cloned entry.
-	br := f.NewValue(ir.OpBr)
-	br.Block = b
-	br.Targets = []*ir.Block{bmap[callee.Entry()]}
-	b.Insts = append(b.Insts, br)
+	b.Append(ir.OpBr).Targets = []*ir.Block{bmap[callee.Entry()]}
 }

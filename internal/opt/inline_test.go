@@ -108,3 +108,34 @@ func main() { return big(3); }`)
 		t.Fatal("size cap ignored")
 	}
 }
+
+// TestInlineDropsCallOperandUses inlines a call that passes an operand, as
+// runtime-helper calls do (lifted calls pass none): the call leaves the
+// caller, so its operand must no longer list it, and the callee's values
+// must not gain the clones as users.
+func TestInlineDropsCallOperandUses(t *testing.T) {
+	m := ir.NewModule("t")
+	leaf := m.NewFunc("leaf")
+	lb := leaf.NewBlock("entry")
+	one := lb.Append(ir.OpConst)
+	one.Const = 1
+	lb.Append(ir.OpRet, one)
+	f := m.NewFunc("f")
+	b := f.NewBlock("entry")
+	arg := b.Append(ir.OpConst)
+	arg.Const = 7
+	b.Append(ir.OpCall, arg).Fn = leaf
+	b.Append(ir.OpRet)
+
+	if !opt.Inline(m, 300) {
+		t.Fatal("nothing inlined")
+	}
+	for _, fn := range m.Funcs {
+		if err := ir.VerifyUses(fn); err != nil {
+			t.Fatalf("@%s: %v", fn.Name, err)
+		}
+	}
+	if arg.NumUses() != 0 || one.NumUses() != 1 {
+		t.Fatalf("uses: call operand %d, callee const %d; want 0, 1", arg.NumUses(), one.NumUses())
+	}
+}

@@ -38,7 +38,7 @@ func GuestMemForward(f *ir.Func) bool {
 			case ir.OpLoad:
 				k := accessKey(v.Args[0], v.Width, v.SignExt)
 				if known := avail[k]; known != nil {
-					ir.ReplaceAllUses(f, v, known)
+					ir.ReplaceAllUses(v, known)
 					b.RemoveAt(i)
 					i--
 					changed = true

@@ -198,28 +198,87 @@ func TestConstFoldUnit(t *testing.T) {
 }
 
 func TestConstBranchFolding(t *testing.T) {
-	m := ir.NewModule("t")
-	f := m.NewFunc("f")
-	entry := f.NewBlock("entry")
-	a := f.NewBlock("a")
-	bb := f.NewBlock("b")
-	c := entry.Append(ir.OpConst)
-	c.Const = 1
-	cb := entry.Append(ir.OpCondBr, c)
-	cb.Targets = []*ir.Block{a, bb}
-	a.Append(ir.OpRet)
-	bb.Append(ir.OpRet)
+	t.Run("unreachable", func(t *testing.T) {
+		m := ir.NewModule("t")
+		f := m.NewFunc("f")
+		entry := f.NewBlock("entry")
+		a := f.NewBlock("a")
+		bb := f.NewBlock("b")
+		c := entry.Append(ir.OpConst)
+		c.Const = 1
+		cb := entry.Append(ir.OpCondBr, c)
+		cb.Targets = []*ir.Block{a, bb}
+		a.Append(ir.OpRet)
+		st := bb.Append(ir.OpStore, c, c)
+		st.Width = 8
+		bb.Append(ir.OpRet)
 
-	if !opt.ConstFold(f) {
-		t.Fatal("no folding happened")
-	}
-	opt.SimplifyCFG(f)
-	if err := ir.VerifyFunc(f); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Blocks) != 1 {
-		t.Fatalf("expected single merged block, got %d", len(f.Blocks))
-	}
+		// Folding the branch leaves b unreachable; SimplifyCFG deletes it,
+		// and the store's uses of the live c go with it.
+		if !opt.ConstFold(f) {
+			t.Fatal("no folding happened")
+		}
+		opt.SimplifyCFG(f)
+		if err := ir.VerifyFunc(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := ir.VerifyUses(f); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Blocks) != 1 {
+			t.Fatalf("expected single merged block, got %d", len(f.Blocks))
+		}
+		if c.NumUses() != 0 {
+			t.Fatalf("c has %d uses after its only users went", c.NumUses())
+		}
+	})
+
+	t.Run("phi-edge", func(t *testing.T) {
+		m := ir.NewModule("t")
+		f := m.NewFunc("f")
+		entry := f.NewBlock("entry")
+		a := f.NewBlock("a")
+		join := f.NewBlock("join")
+		c := entry.Append(ir.OpConst)
+		c.Const = 1
+		y := entry.Append(ir.OpConst)
+		y.Const = 20
+		cb := entry.Append(ir.OpCondBr, c)
+		cb.Targets = []*ir.Block{a, join}
+		x := a.Append(ir.OpConst)
+		x.Const = 10
+		a.Append(ir.OpBr).Targets = []*ir.Block{join}
+		phi := join.Append(ir.OpPhi, y, x)
+		phi.PhiPreds = []*ir.Block{entry, a}
+		st := join.Append(ir.OpStore, c, phi)
+		st.Width = 8
+		join.Append(ir.OpRet)
+
+		// Folding the branch drops the phi's edge from entry, and y's use
+		// with it.
+		if !opt.ConstFold(f) {
+			t.Fatal("no folding happened")
+		}
+		if err := ir.VerifyUses(f); err != nil {
+			t.Fatal(err)
+		}
+		if y.NumUses() != 0 {
+			t.Fatalf("y has %d uses after its phi edge went", y.NumUses())
+		}
+		opt.SimplifyCFG(f)
+		if err := ir.VerifyFunc(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := ir.VerifyUses(f); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Blocks) != 1 {
+			t.Fatalf("expected single merged block, got %d", len(f.Blocks))
+		}
+		if st.Args[1] != x {
+			t.Fatalf("stored value %s, want the surviving phi operand", st.Args[1])
+		}
+	})
 }
 
 func TestGuestMemForwardRespectsClobbers(t *testing.T) {

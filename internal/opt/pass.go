@@ -40,7 +40,8 @@ const maxIters = 4
 
 // Options controls pipeline execution.
 type Options struct {
-	// Verify re-checks IR invariants after every pass (slow; for tests).
+	// Verify re-checks IR invariants, def-use lists included, on entry and
+	// after every pass that changed the function (slow; for tests).
 	Verify bool
 	// NoCallbacks asserts that the dynamic callback analysis (§3.3.3)
 	// proved no guest function is entered from the host: external calls
@@ -71,6 +72,11 @@ func Run(m *ir.Module, opts Options) error {
 // transformations (Inline) are not part of the standard pipeline and must
 // run serially between lifting and RunFunc.
 func RunFunc(f *ir.Func, opts Options) error {
+	if opts.Verify {
+		if err := ir.VerifyUses(f); err != nil {
+			return fmt.Errorf("opt: on entry to @%s: %w", f.Name, err)
+		}
+	}
 	passes := passesWith(opts.NoCallbacks)
 	for iter := 0; iter < maxIters; iter++ {
 		changed := false
@@ -78,7 +84,11 @@ func RunFunc(f *ir.Func, opts Options) error {
 			if p.Run(f) {
 				changed = true
 				if opts.Verify {
-					if err := ir.VerifyFunc(f); err != nil {
+					err := ir.VerifyFunc(f)
+					if err == nil {
+						err = ir.VerifyUses(f)
+					}
+					if err != nil {
 						return fmt.Errorf("opt: after %s on @%s: %w", p.Name, f.Name, err)
 					}
 				}

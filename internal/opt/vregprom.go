@@ -116,7 +116,7 @@ func localVRegForward(f *ir.Func, noCallbacks bool) bool {
 				vals[v.Global] = v.Args[0]
 			case v.Op == ir.OpVRegLoad:
 				if known := vals[v.Global]; known != nil {
-					ir.ReplaceAllUses(f, v, known)
+					ir.ReplaceAllUses(v, known)
 					b.RemoveAt(i)
 					i--
 					changed = true
@@ -280,7 +280,7 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 		memo[key] = phi
 		phis = append(phis, phi)
 		for _, p := range ps {
-			phi.Args = append(phi.Args, readEnd(g, p))
+			phi.AddArg(readEnd(g, p))
 			phi.PhiPreds = append(phi.PhiPreds, p)
 		}
 		return phi
@@ -367,12 +367,11 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 
 	// Apply all replacements across the function.
 	anyChange := len(replaced) > 0
-	for _, b := range f.Blocks {
-		for _, v := range b.Insts {
-			for i, a := range v.Args {
-				v.Args[i] = resolve(a)
-			}
-		}
+	for _, tl := range tops {
+		ir.ReplaceAllUses(tl.v, resolve(tl.v))
+	}
+	for _, phi := range phis {
+		ir.ReplaceAllUses(phi, resolve(phi))
 	}
 	// Remove replaced loads and phis.
 	for _, b := range f.Blocks {
@@ -505,7 +504,7 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 				}
 				st := f.NewValue(ir.OpVRegStore)
 				st.Global = g
-				st.Args = []*ir.Value{fl.val}
+				st.SetArgs(fl.val)
 				fl.to.InsertBefore(st, pos)
 			}
 			anyChange = true
@@ -515,23 +514,27 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 	// and removed earlier; resolve their operands again.
 	for _, phi := range phis {
 		for i, a := range phi.Args {
-			phi.Args[i] = resolve(a)
+			phi.SetArg(i, resolve(a))
 		}
 	}
 
 	// Drop poisoned and replaced phis (they must have no remaining real
-	// uses), and count surviving phis as a change.
-	uses := countUses(f)
-	for _, phi := range phis {
+	// uses), and count surviving phis as a change. Whether a phi is used
+	// is read before any phi goes.
+	used := make([]bool, len(phis))
+	for i, phi := range phis {
+		used[i] = phi.NumUses() > 0
+	}
+	for i, phi := range phis {
 		if !poisoned[phi] && replaced[phi] == nil {
-			if uses[phi] > 0 {
+			if used[i] {
 				anyChange = true
 				continue
 			}
 		}
-		for i, in := range phi.Block.Insts {
+		for j, in := range phi.Block.Insts {
 			if in == phi {
-				phi.Block.RemoveAt(i)
+				phi.Block.RemoveAt(j)
 				break
 			}
 		}
@@ -539,12 +542,11 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 	// Re-drop now-unused phis iteratively (a poisoned phi may have been the
 	// only user of another phi).
 	for {
-		uses = countUses(f)
 		removed := false
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Insts); i++ {
 				v := b.Insts[i]
-				if v.Op == ir.OpPhi && uses[v] == 0 {
+				if v.Op == ir.OpPhi && v.NumUses() == 0 {
 					b.RemoveAt(i)
 					i--
 					removed = true
@@ -556,19 +558,6 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 		}
 	}
 	return anyChange
-}
-
-// countUses returns the operand use count of every value in f.
-func countUses(f *ir.Func) map[*ir.Value]int {
-	uses := map[*ir.Value]int{}
-	for _, b := range f.Blocks {
-		for _, v := range b.Insts {
-			for _, a := range v.Args {
-				uses[a]++
-			}
-		}
-	}
-	return uses
 }
 
 // vregDeadStoreElim removes vreg stores that are overwritten before any

@@ -181,7 +181,7 @@ func Instrument(m *ir.Module) int {
 				id.Const = int64(v.SiteID)
 				call := f.NewValue(ir.OpCallExt)
 				call.ExtName = ExtRecMem
-				call.Args = []*ir.Value{id, v.Args[0]}
+				call.SetArgs(id, v.Args[0])
 				b.InsertBefore(id, i)
 				b.InsertBefore(call, i+1)
 				i += 2

@@ -60,7 +60,11 @@ func TestWorkloadsRecompileCorrectly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := core.NewProject(img, core.DefaultOptions())
+			// VerifyIR checks every function's IR and use lists after each
+			// optimization pass that changed it.
+			o := core.DefaultOptions()
+			o.VerifyIR = true
+			p, err := core.NewProject(img, o)
 			if err != nil {
 				t.Fatal(err)
 			}
