@@ -1,5 +1,6 @@
 // Package cfg defines the control-flow-graph representation shared by the
-// whole recompilation pipeline, together with its on-disk JSON form.
+// whole recompilation pipeline, together with its on-disk JSON form and a
+// compact binary form for the artifact store (binary.go).
 //
 // This is the contract the paper establishes around its radare2 wrapper: a
 // JSON CFG listing functions, the basic blocks belonging to them, and the
@@ -77,12 +78,17 @@ type Func struct {
 
 // Graph is the whole-program CFG.
 type Graph struct {
-	Entry  uint64            `json:"entry"`
-	Funcs  []*Func           `json:"funcs"`
-	Blocks map[uint64]*Block `json:"-"`
-	// BlockList is the serialized form of Blocks (JSON maps cannot have
-	// integer keys without string round-trips).
-	BlockList []*Block `json:"blocks"`
+	Entry  uint64
+	Funcs  []*Func
+	Blocks map[uint64]*Block
+}
+
+// wireGraph is Graph's JSON form: the blocks travel as a list in ascending
+// address order (JSON objects cannot have integer keys).
+type wireGraph struct {
+	Entry  uint64   `json:"entry"`
+	Funcs  []*Func  `json:"funcs"`
+	Blocks []*Block `json:"blocks"`
 }
 
 // NewGraph returns an empty graph.
@@ -135,21 +141,31 @@ func (g *Graph) FuncOf(addr uint64) *Func {
 }
 
 // BlockContaining returns the block whose byte range covers addr, or nil.
+// Overlapping code decodes as blocks of its own, so several blocks may
+// cover addr; the one starting highest wins, never whichever the map yields
+// first, because the answer decides where merges and splits land.
 func (g *Graph) BlockContaining(addr uint64) *Block {
+	var best *Block
 	for _, b := range g.Blocks {
-		if addr >= b.Addr && addr < b.Addr+b.Size {
-			return b
+		if addr >= b.Addr && addr < b.Addr+b.Size && (best == nil || b.Addr > best.Addr) {
+			best = b
 		}
 	}
-	return nil
+	return best
 }
 
 // NumBlocks returns the number of blocks.
 func (g *Graph) NumBlocks() int { return len(g.Blocks) }
 
-// Validate checks structural invariants: every function block exists, every
-// direct target of an owned block exists, fallthroughs exist.
+// Validate checks structural invariants: every block's terminator is a
+// known kind, every function block exists, every direct target of an owned
+// block exists, fallthroughs exist.
 func (g *Graph) Validate() error {
+	for a, b := range g.Blocks {
+		if termCode(b.Term) == 0xff {
+			return fmt.Errorf("cfg: block %#x: unknown terminator %q", a, b.Term)
+		}
+	}
 	for _, f := range g.Funcs {
 		for _, ba := range f.Blocks {
 			b, ok := g.Blocks[ba]
@@ -195,35 +211,37 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
-// Marshal serializes the graph to its on-disk JSON form.
+// sortedBlocks returns the blocks in ascending address order.
+func (g *Graph) sortedBlocks() []*Block {
+	var out []*Block
+	for _, b := range g.Blocks {
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
+}
+
+// Marshal serializes the graph to its on-disk JSON form. It leaves the
+// graph unchanged.
 func (g *Graph) Marshal() ([]byte, error) {
-	g.BlockList = g.BlockList[:0]
-	addrs := make([]uint64, 0, len(g.Blocks))
-	for a := range g.Blocks {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		g.BlockList = append(g.BlockList, g.Blocks[a])
-	}
-	return json.MarshalIndent(g, "", " ")
+	return json.MarshalIndent(wireGraph{Entry: g.Entry, Funcs: g.Funcs, Blocks: g.sortedBlocks()}, "", " ")
 }
 
 // Unmarshal parses an on-disk graph. A null function or block entry is an
 // error, and so is any graph Validate rejects: every consumer dereferences
 // the blocks a function lists and the targets and fallthroughs they name.
 func Unmarshal(data []byte) (*Graph, error) {
-	g := new(Graph)
-	if err := json.Unmarshal(data, g); err != nil {
+	var w wireGraph
+	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("cfg: %w", err)
 	}
-	for i, f := range g.Funcs {
+	for i, f := range w.Funcs {
 		if f == nil {
 			return nil, fmt.Errorf("cfg: funcs[%d] is null", i)
 		}
 	}
-	g.Blocks = map[uint64]*Block{}
-	for i, b := range g.BlockList {
+	g := &Graph{Entry: w.Entry, Funcs: w.Funcs, Blocks: make(map[uint64]*Block, len(w.Blocks))}
+	for i, b := range w.Blocks {
 		if b == nil {
 			return nil, fmt.Errorf("cfg: blocks[%d] is null", i)
 		}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/cfg"
 )
 
-func buildGraph(t *testing.T) *cfg.Graph {
+func buildGraph(t testing.TB) *cfg.Graph {
 	t.Helper()
 	g := cfg.NewGraph(0x100)
 	f := g.AddFunc(0x100)
@@ -70,6 +70,24 @@ func TestIndirectBlocksAndContaining(t *testing.T) {
 	}
 }
 
+// TestBlockContainingOverlapIsDeterministic: overlapping code decodes as
+// blocks of its own, so two blocks may cover one address. The lookup must
+// name the same one, the highest-starting, on every call, not whichever the
+// block map yields first: trace and additive merges land on its answer.
+func TestBlockContainingOverlapIsDeterministic(t *testing.T) {
+	g := cfg.NewGraph(0x1000)
+	g.Blocks[0x1000] = &cfg.Block{Addr: 0x1000, Size: 14, Term: cfg.TermRet}
+	g.Blocks[0x1002] = &cfg.Block{Addr: 0x1002, Size: 12, Term: cfg.TermRet}
+	for i := 0; i < 64; i++ {
+		if b := g.BlockContaining(0x100a); b == nil || b.Addr != 0x1002 {
+			t.Fatalf("call %d: BlockContaining(0x100a) = %+v, want the block at 0x1002", i, b)
+		}
+	}
+	if b := g.BlockContaining(0x1001); b == nil || b.Addr != 0x1000 {
+		t.Fatalf("BlockContaining(0x1001) = %+v, want the block at 0x1000", b)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	g := buildGraph(t)
 	c := g.Clone()
@@ -100,20 +118,26 @@ func TestMarshalRoundTripPreservesExt(t *testing.T) {
 	}
 }
 
+// unmarshalRejects are checkpoints Unmarshal must reject, each with a
+// fragment of the error it must return.
+var unmarshalRejects = []struct{ in, want string }{
+	{`{"entry":1,"funcs":[],"blocks":[null]}`, "null"},
+	{`{"entry":1,"funcs":[null],"blocks":[]}`, "null"},
+	{`{"entry":1,"funcs":[{"entry":1,"blocks":[1,9]}],"blocks":[{"addr":1,"size":1,"term":"ret"}]}`,
+		"missing block 0x9"},
+	{`{"entry":1,"funcs":[{"entry":1,"blocks":[1]}],"blocks":[{"addr":1,"size":1,"term":"jmp","targets":[9]}]}`,
+		"missing direct target 0x9"},
+	{`{"entry":1,"funcs":[{"entry":1,"blocks":[1]}],"blocks":[{"addr":1,"size":1,"term":"fall","fall":9}]}`,
+		"missing fallthrough 0x9"},
+	{`{"entry":1,"funcs":[],"blocks":[{"addr":1,"size":1,"term":"loop"}]}`, "unknown terminator"},
+}
+
 // TestUnmarshalRejectsNullEntries: null function or block entries in a
-// checkpoint, and blocks a graph names but does not hold, are decode errors,
-// not nil pointers for Unmarshal or a later consumer to dereference.
+// checkpoint, blocks a graph names but does not hold, and terminators of no
+// known kind are decode errors, not nil pointers for Unmarshal or a later
+// consumer to dereference.
 func TestUnmarshalRejectsNullEntries(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{`{"entry":1,"funcs":[],"blocks":[null]}`, "null"},
-		{`{"entry":1,"funcs":[null],"blocks":[]}`, "null"},
-		{`{"entry":1,"funcs":[{"entry":1,"blocks":[1,9]}],"blocks":[{"addr":1,"size":1,"term":"ret"}]}`,
-			"missing block 0x9"},
-		{`{"entry":1,"funcs":[{"entry":1,"blocks":[1]}],"blocks":[{"addr":1,"size":1,"term":"jmp","targets":[9]}]}`,
-			"missing direct target 0x9"},
-		{`{"entry":1,"funcs":[{"entry":1,"blocks":[1]}],"blocks":[{"addr":1,"size":1,"term":"fall","fall":9}]}`,
-			"missing fallthrough 0x9"},
-	} {
+	for _, c := range unmarshalRejects {
 		if g, err := cfg.Unmarshal([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: graph %+v, error %v; want an error containing %q", c.in, g, err, c.want)
 		}

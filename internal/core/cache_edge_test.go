@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lifter"
 	"repro/internal/store"
+	"repro/internal/tracer"
 )
 
 const edgeFptrSrc = `
@@ -200,9 +202,9 @@ func TestPoisonedCFGArtifactFallsBackToDisassembly(t *testing.T) {
 	poisoned := clean.Graph.Clone()
 	fn := poisoned.Func(poisoned.Entry)
 	fn.Blocks = append(fn.Blocks, 0xdead0)
-	poison, err := poisoned.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	poison := poisoned.EncodeBinary()
+	if _, err := cfg.DecodeBinary(poison); err == nil || !strings.Contains(err.Error(), "missing block") {
+		t.Fatalf("poison decodes with %v; want Validate's missing-block error", err)
 	}
 	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
 	key, ok := newProjectShell(img, o).cfgKey()
@@ -233,7 +235,7 @@ func TestPoisonedCFGArtifactFallsBackToDisassembly(t *testing.T) {
 	if !ok {
 		t.Fatal("cfg entry missing after disassembly")
 	}
-	if _, err := cfg.Unmarshal(data); err != nil {
+	if _, err := cfg.DecodeBinary(data); err != nil {
 		t.Fatalf("poisoned cfg artifact survived: %v", err)
 	}
 }
@@ -260,6 +262,144 @@ func TestNoStoreComputesNoKeys(t *testing.T) {
 		if cfgOK == off || traceOK == off || imageOK == off {
 			t.Errorf("NoFuncCache=%v: cfg, trace, image keys derived = %v, %v, %v; want %v",
 				off, cfgOK, traceOK, imageOK, !off)
+		}
+	}
+}
+
+// TestPoisonedTracePairsDoNotSpread seeds a shared store, as any daemon
+// client may PUT it, with a trace artifact of two pairs under a session's
+// trace key: the first applies (the real indirect-call site, plus a known
+// function entry no run calls through it), the second does not (site 0).
+// The project must fall back to a live session; its graph keeps the first
+// pair, so its recompile differs from a clean one. A second project over the
+// same store must then return the store-off bytes: the first project's key
+// restarted from its graph's content, so it filed its image under a key no
+// clean project computes.
+func TestPoisonedTracePairsDoNotSpread(t *testing.T) {
+	img, _, err := cc.Compile(edgeFptrSrc, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []Input{{Data: []byte("0"), Seed: 3}}
+	o := DefaultOptions()
+	o.NoFuncCache = true
+	clean, err := NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clean.Trace(in); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := clean.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var site *cfg.Block
+	for _, b := range clean.Graph.Blocks {
+		if b.Term == cfg.TermCallInd && len(b.Targets) > 0 && (site == nil || b.Addr < site.Addr) {
+			site = b
+		}
+	}
+	if site == nil {
+		t.Fatal("no traced indirect call site")
+	}
+	var extra uint64
+	for _, f := range clean.Graph.Funcs {
+		if f.Entry != clean.Graph.Entry && !site.HasTarget(f.Entry) {
+			extra = f.Entry
+		}
+	}
+	if extra == 0 {
+		t.Fatal("no function to poison the site with")
+	}
+	poison := encodeTraceArtifact(&tracer.Result{ICFTs: 2, Runs: 1,
+		Merged: []tracer.SiteTarget{{Site: site.Addr, Target: extra}, {Site: 0, Target: extra}}})
+
+	o.NoFuncCache = false
+	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	project := func() (*Project, []byte) {
+		p, err := NewProject(img, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Trace(in); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := p.Recompile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, got
+	}
+	p0, err := NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := p0.traceKey(p0.runsKey(p0.tracerRuns(in)))
+	if !ok {
+		t.Fatal("no trace key")
+	}
+	o.SharedStore.Put(nsTrace, key, poison)
+
+	p1, got := project()
+	if !p1.Graph.Blocks[site.Addr].HasTarget(extra) {
+		t.Fatal("the poisoned project never merged the applicable pair")
+	}
+	if bytes.Equal(got, want) {
+		t.Fatal("the applicable poisoned pair left the image unchanged; the test would prove nothing")
+	}
+	if p1.Stats.TraceInsts == 0 {
+		t.Fatal("the poisoned project replayed instead of tracing live")
+	}
+	if _, got = project(); !bytes.Equal(got, want) {
+		t.Fatal("a project after the poisoned one did not return the store-off bytes")
+	}
+}
+
+// TestEmptyTraceKeepsImageKey: a session that merges nothing leaves the
+// derivation key, and so the image key, as it was, so a request traced at
+// a new seed that finds nothing new replays the stored image.
+func TestEmptyTraceKeepsImageKey(t *testing.T) {
+	img, _, err := cc.Compile(`
+extern print_i64;
+func main() { print_i64(7); return 0; }`, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	for seed := int64(1); seed <= 2; seed++ {
+		p, err := NewProject(img, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, ok := p.imageKey()
+		if !ok {
+			t.Fatal("no image key")
+		}
+		res, err := p.Trace([]Input{{Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Merged) != 0 {
+			t.Fatalf("seed %d: trace merged %d pairs; the test needs a program with none", seed, len(res.Merged))
+		}
+		if after, _ := p.imageKey(); after != before {
+			t.Fatalf("seed %d: an empty session changed the image key", seed)
+		}
+		if _, err := p.Recompile(); err != nil {
+			t.Fatal(err)
+		}
+		if built := p.Stats.CacheHits + p.Stats.CacheMisses; (seed == 1) != (built > 0) {
+			t.Fatalf("seed %d: recompile built %d functions; want a pipeline run only at seed 1", seed, built)
 		}
 	}
 }

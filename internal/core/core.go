@@ -179,7 +179,10 @@ func (s *Stats) Total() time.Duration {
 
 // Project is one recompilation effort over an input binary.
 type Project struct {
-	Img   *image.Image
+	Img *image.Image
+	// Graph is the project's CFG. Callers must not mutate it: merges go
+	// through Trace and RunAdditive, which keep the derivation key that
+	// names it in the artifact store current (stages.go).
 	Graph *cfg.Graph
 	Opts  Options
 	Stats Stats
@@ -210,6 +213,12 @@ type Project struct {
 	imgFPOnce sync.Once
 	imgFP     store.Key
 	imgFPOK   bool
+
+	// graphKey is Graph's derivation key (stages.go), valid while
+	// graphKeyOK. It is set only when imageFP yields a key, and a trace
+	// session that fails clears graphKeyOK for good.
+	graphKey   store.Key
+	graphKeyOK bool
 
 	// obsTrack is this project's serial-stage trace track, allocated on
 	// first use (concurrent bench cells each hold their own Project, so
@@ -278,7 +287,12 @@ func NewProject(img *image.Image, opts Options) (*Project, error) {
 	p := newProjectShell(img, opts)
 	sp := opts.Obs.Begin(p.obsTID(), "pipeline", "disasm")
 	t0 := time.Now()
-	g, fromTier := p.replayCFG()
+	key, keyOK := p.cfgKey()
+	var g *cfg.Graph
+	fromTier := ""
+	if keyOK {
+		g, fromTier = p.replayCFG(key)
+	}
 	if g == nil {
 		var err error
 		g, err = disasm.Disassemble(img)
@@ -286,12 +300,11 @@ func NewProject(img *image.Image, opts Options) (*Project, error) {
 			sp.End()
 			return nil, err
 		}
-		if key, ok := p.cfgKey(); ok {
-			if data, merr := g.Marshal(); merr == nil {
-				p.storePut(nsCFG, key, data)
-			}
+		if keyOK {
+			p.storePut(nsCFG, key, g.EncodeBinary())
 		}
 	}
+	p.graphKey, p.graphKeyOK = key, keyOK
 	d := time.Since(t0)
 	sp = sp.Arg("funcs", len(g.Funcs)).Arg("blocks", g.NumBlocks())
 	if fromTier != "" {
@@ -309,10 +322,13 @@ func NewProject(img *image.Image, opts Options) (*Project, error) {
 
 // NewProjectWithGraph prepares a project over an externally supplied CFG
 // (e.g. one persisted by a previous additive session) instead of
-// disassembling the image.
+// disassembling the image. The project owns g from here on.
 func NewProjectWithGraph(img *image.Image, g *cfg.Graph, opts Options) *Project {
 	p := newProjectShell(img, opts)
 	p.Graph = g
+	if _, ok := p.imageFP(); ok {
+		p.graphKey, p.graphKeyOK = contentKey(g), true
+	}
 	p.Stats.update(func() {
 		p.Stats.Funcs = len(g.Funcs)
 		p.Stats.Blocks = g.NumBlocks()
@@ -335,18 +351,14 @@ func newProjectShell(img *image.Image, opts Options) *Project {
 	return p
 }
 
-// replayCFG probes the store for the image's static CFG; ("", nil) on miss
-// or any decode failure.
-func (p *Project) replayCFG() (*cfg.Graph, string) {
-	key, ok := p.cfgKey()
-	if !ok {
-		return nil, ""
-	}
+// replayCFG probes the store for the image's static CFG under its cfg key;
+// (nil, "") on miss or any decode failure.
+func (p *Project) replayCFG(key store.Key) (*cfg.Graph, string) {
 	data, tier, ok := p.storeGet(nsCFG, key)
 	if !ok {
 		return nil, ""
 	}
-	g, err := cfg.Unmarshal(data)
+	g, err := cfg.DecodeBinary(data)
 	if err != nil {
 		return nil, ""
 	}
@@ -371,16 +383,17 @@ func (p *Project) tracerRuns(inputs []Input) []tracer.Run {
 //
 // A trace session is a pipeline stage with a replayable artifact: its whole
 // effect on the graph is the ordered list of merged (site, target) pairs,
-// and its key covers the image, the pre-trace graph and the runs' identity
-// (runsKey). On a store hit the pairs are re-applied to the graph — same
-// merge, no execution — and the stored counts and guest entries are
-// reported, so a replayed session is indistinguishable from a live one.
-// Only sessions that completed without error are persisted, and only they
-// leave their guest entries for PruneCallbacks.
+// and its key covers the image, the pre-trace graph's derivation key and
+// the runs' identity (runsKey). On a store hit the pairs are re-applied to
+// the graph — same merge, no execution — and the stored counts and guest
+// entries are reported, so a replayed session is indistinguishable from a
+// live one. Only sessions that completed without error are persisted, fold
+// their pairs into the derivation key, and leave their guest entries for
+// PruneCallbacks; a failed one turns graph-derived keys off (stages.go).
 func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 	runs := p.tracerRuns(inputs)
 	runsKey := p.runsKey(runs)
-	// The key fingerprints the graph the session starts from, so it must be
+	// The key names the graph the session starts from, so it must be
 	// computed before any merging mutates it.
 	traceKey, keyOK := p.traceKey(runsKey)
 	sp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "icft-trace",
@@ -391,15 +404,20 @@ func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 	replayed := ""
 	if keyOK {
 		if data, tier, ok := p.storeGet(nsTrace, traceKey); ok {
-			if stored, sok := decodeTraceArtifact(data); sok && p.applyTraceMerges(stored.Merged) {
+			// A stored pair that no longer applies sends the session live,
+			// which re-merges idempotently.
+			if stored, sok := decodeTraceArtifact(data); sok && p.mergePairs(stored.Merged) == nil {
 				res, replayed = stored, tier
 			}
 		}
 	}
 	if res == nil {
 		res, err = tracer.TraceObs(p.Img, p.Graph, runs, p.Opts.Fuel, p.Opts.Obs, p.obsTID(), p.ctxDone())
-		if err == nil && res != nil && keyOK {
-			p.storePut(nsTrace, traceKey, encodeTraceArtifact(res))
+		if err == nil {
+			if keyOK {
+				p.storePut(nsTrace, traceKey, encodeTraceArtifact(res))
+			}
+			p.foldGraphKey(res.Merged)
 		}
 	}
 	d := time.Since(t0)
@@ -420,6 +438,8 @@ func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 		}
 	})
 	if err != nil {
+		// The session may have merged pairs its result does not list.
+		p.graphKeyOK = false
 		if cerr := p.ctxErr(); cerr != nil {
 			return nil, fmt.Errorf("core: trace cancelled: %w", cerr)
 		}
@@ -429,23 +449,26 @@ func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 	return res, nil
 }
 
-// applyTraceMerges re-applies a stored trace session's merged pairs to the
-// graph, in the order the live session merged them (target sets stay in
-// their canonical sorted order either way, but recursive descent from a
-// discovery point depends on what is already known). Reports false if any
-// pair no longer applies — then the caller falls back to a live trace,
-// which re-merges idempotently.
-func (p *Project) applyTraceMerges(pairs []tracer.SiteTarget) bool {
+// mergePairs merges (site, target) pairs into the graph in order — the step
+// a replayed trace session and an additive miss batch share with the live
+// tracer (order matters: recursive descent from a discovery point depends
+// on what is already known) — and folds them into the derivation key. On
+// error the pairs before the failing one stay merged, and the failing one
+// may be half integrated, so the key restarts from the graph's content.
+func (p *Project) mergePairs(pairs []tracer.SiteTarget) error {
 	for _, st := range pairs {
 		blk := p.Graph.BlockContaining(st.Site)
 		if blk == nil {
-			return false
+			p.restartGraphKey()
+			return fmt.Errorf("miss site %#x not in CFG", st.Site)
 		}
 		if _, err := disasm.AddIndirectTarget(p.Img, p.Graph, blk, st.Target); err != nil {
-			return false
+			p.restartGraphKey()
+			return fmt.Errorf("integrating miss %#x->%#x: %w", st.Site, st.Target, err)
 		}
 	}
-	return true
+	p.foldGraphKey(pairs)
+	return nil
 }
 
 // AdditiveResult describes an additive-lifting session.
@@ -540,16 +563,13 @@ func (p *Project) RunAdditive(in Input, maxLoops int) (*AdditiveResult, error) {
 				maxLoops, out.Recompiles, formatMisses(out.Misses), formatMisses(misses))
 		}
 		// Integrate the whole batch, then recompile once.
-		for _, ms := range misses {
-			blk := p.Graph.BlockContaining(ms.Site)
-			if blk == nil {
-				lsp.End()
-				return nil, fmt.Errorf("core: loop %d: miss site %#x not in CFG", loop, ms.Site)
-			}
-			if _, err := disasm.AddIndirectTarget(p.Img, p.Graph, blk, ms.Target); err != nil {
-				lsp.End()
-				return nil, fmt.Errorf("core: loop %d: integrating miss %#x->%#x: %w", loop, ms.Site, ms.Target, err)
-			}
+		pairs := make([]tracer.SiteTarget, len(misses))
+		for i, ms := range misses {
+			pairs[i] = tracer.SiteTarget(ms)
+		}
+		if err := p.mergePairs(pairs); err != nil {
+			lsp.End()
+			return nil, fmt.Errorf("core: loop %d: %w", loop, err)
 		}
 		out.Misses = append(out.Misses, misses...)
 		if p.OnCFGUpdate != nil {

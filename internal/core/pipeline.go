@@ -62,7 +62,7 @@ func (p *Project) pipeWorkers() int {
 // count and of cache warmth (see the package comment above).
 //
 // The final lowered image is itself an artifact, keyed by the input image
-// bytes, the merged-CFG fingerprint, the option bits, and the
+// bytes, the merged graph's derivation key, the option bits, and the
 // dynamic-analysis state (stages.go). A store hit short-circuits the whole
 // pipeline — no generation is opened, so the memory tier's function bodies
 // stay live for the next recompile that does run.

@@ -161,19 +161,27 @@ func wrappedTrace() []byte {
 	return data
 }
 
-func TestDecodeTraceArtifactRejectsBadCounts(t *testing.T) {
-	good := encodeTraceArtifact(&tracer.Result{
+// goodTrace is a well-formed trace payload with two pairs and two entries.
+func goodTrace() []byte {
+	return encodeTraceArtifact(&tracer.Result{
 		ICFTs: 2, NewTargets: 1, Runs: 1, Insts: 99,
 		Merged:  []tracer.SiteTarget{{Site: 0x10, Target: 0x20}, {Site: 0x30, Target: 0x40}},
 		Entries: []uint64{0x50, 0x60},
 	})
-	noPairs := encodeTraceArtifact(&tracer.Result{})
-	wrappedEntries := append([]byte(nil), noPairs...)
+}
+
+// badTrace is a named trace payload decodeTraceArtifact must reject.
+type badTrace struct {
+	name string
+	data []byte
+}
+
+// badTraces are the malformed payloads, one per count or length check.
+func badTraces() []badTrace {
+	good := goodTrace()
+	wrappedEntries := encodeTraceArtifact(&tracer.Result{})
 	binary.LittleEndian.PutUint64(wrappedEntries[40:], 1<<61)
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{
+	return []badTrace{
 		{"wrapped pair count", wrappedTrace()},
 		{"wrapped entry count", wrappedEntries},
 		{"pairs past the end", good[:56]},
@@ -181,11 +189,16 @@ func TestDecodeTraceArtifactRejectsBadCounts(t *testing.T) {
 		{"truncated entry", good[:len(good)-1]},
 		{"short header", good[:31]},
 		{"trailing byte", append(append([]byte(nil), good...), 0)},
-	} {
+	}
+}
+
+func TestDecodeTraceArtifactRejectsBadCounts(t *testing.T) {
+	for _, tc := range badTraces() {
 		if res, ok := decodeTraceArtifact(tc.data); ok {
 			t.Errorf("%s: decoded %+v, want a miss", tc.name, res)
 		}
 	}
+	good := goodTrace()
 	res, ok := decodeTraceArtifact(good)
 	if !ok || !bytes.Equal(encodeTraceArtifact(res), good) {
 		t.Fatalf("round trip failed: %+v, %v", res, ok)
@@ -196,6 +209,23 @@ func TestDecodeTraceArtifactRejectsBadCounts(t *testing.T) {
 // wrapped payload under its session's trace key, as any daemon client may
 // PUT it: the session must miss and run live, reporting what a project with
 // a clean store reports.
+// FuzzDecodeTraceArtifact fuzzes the trace artifact decoder: any polynimad
+// client may PUT trace/<key>. It must miss, or return a result that
+// encodeTraceArtifact re-encodes to the same bytes; it must never panic.
+// The committed corpus holds one real session's artifact.
+func FuzzDecodeTraceArtifact(f *testing.F) {
+	f.Add(goodTrace())
+	for _, tc := range badTraces() {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, ok := decodeTraceArtifact(data)
+		if ok && !bytes.Equal(encodeTraceArtifact(res), data) {
+			t.Fatalf("decoded %+v re-encodes to different bytes", res)
+		}
+	})
+}
+
 func TestTraceFallsBackOnWrappedArtifact(t *testing.T) {
 	in := []Input{{Seed: 2}}
 	want, err := pruneProject(t, pruneSrc, nil, nil).Trace(in)

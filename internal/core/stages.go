@@ -11,18 +11,19 @@
 // their payload envelopes:
 //
 //	cfg    static disassembly CFG        key: image
-//	                                     payload: cfg.Graph JSON
-//	trace  one ICFT trace/merge session  key: image, pre-trace graph,
-//	                                          runsKey (fuel; every run's
-//	                                          seed, input, ext names)
+//	                                     payload: cfg.Graph.EncodeBinary
+//	trace  one ICFT trace/merge session  key: image, pre-trace graph's
+//	                                          derivation key, runsKey
+//	                                          (fuel; every run's seed,
+//	                                          input, ext names)
 //	                                     payload: counts + merged pairs
 //	                                          + guest entries
 //	func   one lifted+optimized body     key: fingerprintFunc (machine
 //	                                          bytes, CFG shape, option
 //	                                          bits, target id) + image
 //	                                     payload: site count + ir.EncodeFunc
-//	image  the final lowered image       key: image, merged-CFG
-//	                                          fingerprint, option bits,
+//	image  the final lowered image       key: image, merged graph's
+//	                                          derivation key, option bits,
 //	                                          target id, callback set
 //	                                     payload: stats + image JSON
 //
@@ -32,12 +33,33 @@
 // (DESIGN.md §3) is what makes replay sound: a stage's output is a pure
 // function of its fingerprinted inputs, byte-identical at any worker count,
 // so recompute and replay are indistinguishable.
+//
+// Derivation keys. After disassembly the graph changes only when observed
+// (site, target) pairs are merged into it (§3.2), so the project names its
+// graph by where it started and what was merged, in order, instead of
+// serializing it for every key:
+//   - after NewProject the key is the cfg key, disassembled or replayed
+//     alike (the graph is a pure function of the image bytes); after
+//     NewProjectWithGraph it is contentKey, a hash of the binary encoding;
+//   - every merge batch that completes — a trace session, live or
+//     replayed, or one additive miss batch — folds its pairs in merge order
+//     (foldGraphKey); a batch of none leaves the key as it was;
+//   - a merge that fails partway leaves its earlier pairs merged, a change
+//     no fold names, so the key restarts from contentKey (restartGraphKey);
+//   - a trace session that returns an error may have merged pairs its
+//     result does not list, so graph-derived keys turn off for the rest of
+//     the project.
+//
+// Equal keys name equal graphs because merging is deterministic:
+// BlockContaining answers the same block for a site on every call, and the
+// replay-identity and determinism tests pin the rest.
 package core
 
 import (
 	"encoding/binary"
 	"sort"
 
+	"repro/internal/cfg"
 	"repro/internal/image"
 	"repro/internal/mx"
 	"repro/internal/store"
@@ -54,10 +76,16 @@ const (
 
 // Schema tags folded into keys; bump alongside any payload format change.
 var (
-	schemaCFG   = []byte("cfg/1")
-	schemaTrace = []byte("trace/2") // v2: guest entries follow the pairs
+	schemaCFG   = []byte("cfg/2")   // v2: binary payload
+	schemaTrace = []byte("trace/3") // v3: keyed by the graph's derivation key
 	schemaFunc  = []byte("func/2")  // v2: target id joined the key bytes
-	schemaImage = []byte("image/2") // v2: target id in key; fences in payload
+	schemaImage = []byte("image/3") // v3: keyed by the graph's derivation key
+)
+
+// Tags of the two derivation-key forms that are not a cfg key.
+var (
+	tagGraphContent = []byte("graph-content/1")
+	tagGraphMerge   = []byte("graph-merge/1")
 )
 
 // storeGet probes the project's artifact store and attributes the outcome
@@ -108,14 +136,31 @@ func (p *Project) imageFP() (store.Key, bool) {
 	return p.imgFP, p.imgFPOK
 }
 
-// graphFP fingerprints the current CFG via its canonical serialized form
-// (sorted block list, no map order anywhere).
-func (p *Project) graphFP() (store.Key, bool) {
-	data, err := p.Graph.Marshal()
-	if err != nil {
-		return store.Key{}, false
+// contentKey is the derivation key that names g by its content.
+func contentKey(g *cfg.Graph) store.Key {
+	return store.KeyOf(tagGraphContent, g.EncodeBinary())
+}
+
+// restartGraphKey renames Graph by its content after a change no fold
+// names. With graph-derived keys off it does nothing.
+func (p *Project) restartGraphKey() {
+	if p.graphKeyOK {
+		p.graphKey = contentKey(p.Graph)
 	}
-	return store.KeyOf(data), true
+}
+
+// foldGraphKey advances the derivation key over pairs just merged into
+// Graph, in merge order. No pairs, no change.
+func (p *Project) foldGraphKey(pairs []tracer.SiteTarget) {
+	if !p.graphKeyOK || len(pairs) == 0 {
+		return
+	}
+	buf := make([]byte, 0, 16*len(pairs))
+	for _, st := range pairs {
+		buf = binary.LittleEndian.AppendUint64(buf, st.Site)
+		buf = binary.LittleEndian.AppendUint64(buf, st.Target)
+	}
+	p.graphKey = store.KeyOf(tagGraphMerge, p.graphKey[:], buf)
 }
 
 // cfgKey keys the static-disassembly artifact: the CFG is a pure function
@@ -150,18 +195,14 @@ func (p *Project) runsKey(runs []tracer.Run) store.Key {
 	return store.KeyOf(parts...)
 }
 
-// traceKey keys one trace/merge session: the image, the graph the session
-// started from, and the identity of its runs.
+// traceKey keys one trace/merge session: the image, the derivation key of
+// the graph the session starts from, and the identity of its runs.
 func (p *Project) traceKey(runs store.Key) (store.Key, bool) {
 	imgFP, ok := p.imageFP()
-	if !ok {
+	if !ok || !p.graphKeyOK {
 		return store.Key{}, false
 	}
-	gFP, ok := p.graphFP()
-	if !ok {
-		return store.Key{}, false
-	}
-	return store.KeyOf(schemaTrace, imgFP[:], gFP[:], runs[:]), true
+	return store.KeyOf(schemaTrace, imgFP[:], p.graphKey[:], runs[:]), true
 }
 
 // funcKey widens a per-function fingerprint (cache.go) into a store key by
@@ -176,16 +217,13 @@ func (p *Project) funcKey(fp [32]byte) (store.Key, bool) {
 	return store.KeyOf(schemaFunc, fp[:], imgFP[:]), true
 }
 
-// imageKey keys the final lowered image: input image bytes, merged-CFG
-// fingerprint, option bits, and the dynamic-analysis state that shapes the
-// module (callback set, fence removal — the latter is in the option bits).
+// imageKey keys the final lowered image: input image bytes, the merged
+// graph's derivation key, option bits, and the dynamic-analysis state that
+// shapes the module (callback set, fence removal — the latter is in the
+// option bits).
 func (p *Project) imageKey() (store.Key, bool) {
 	imgFP, ok := p.imageFP()
-	if !ok {
-		return store.Key{}, false
-	}
-	gFP, ok := p.graphFP()
-	if !ok {
+	if !ok || !p.graphKeyOK {
 		return store.Key{}, false
 	}
 	tgt := mx.TargetByName(p.Opts.Target)
@@ -200,7 +238,7 @@ func (p *Project) imageKey() (store.Key, bool) {
 		removeFences: p.removeFences,
 		target:       tgt.ID,
 	}
-	parts := [][]byte{schemaImage, imgFP[:], gFP[:], {ko.bits(), ko.target}}
+	parts := [][]byte{schemaImage, imgFP[:], p.graphKey[:], {ko.bits(), ko.target}}
 	if p.callbackSet == nil {
 		parts = append(parts, store.U64(^uint64(0)))
 	} else {

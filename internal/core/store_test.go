@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/workloads"
 )
 
 // diskProject builds a project for src over a fresh Disk handle on dir —
@@ -228,5 +230,73 @@ func TestStoreCorruptionDegradesToMiss(t *testing.T) {
 	st := d2.Stats()["disk"]
 	if st.Corrupt == 0 {
 		t.Fatal("corrupt entries were not counted")
+	}
+}
+
+// replayStats are the Stats fields a replayed recompile must report exactly
+// as a live one does.
+type replayStats struct {
+	Funcs, Blocks, CodeSize, Fences, NumExternal, ICFTs int
+	TraceInsts                                          uint64
+	FencesGone                                          bool
+}
+
+// TestReplayIdentityAcrossCorpus runs every corpus (image, target) key,
+// traced on its primary input, three ways: store off, over a cold disk store,
+// and as a warm replay from that store in a fresh process (a new Disk handle
+// and project). All three must give identical image bytes and Stats. The
+// warm run replays the cfg, trace and image artifacts through derivation
+// keys, so this pins that equal keys name equal graphs across the corpus.
+func TestReplayIdentityAcrossCorpus(t *testing.T) {
+	for _, w := range workloads.All() {
+		for _, lvl := range []int{0, 2} {
+			img, err := w.Compile(lvl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for _, target := range []string{"mx64", "mx64w"} {
+				name := fmt.Sprintf("%s/O%d/%s", w.Name, lvl, target)
+				run := func(disk bool) (*core.Project, []byte, replayStats) {
+					o := core.DefaultOptions()
+					o.Target = target
+					o.NoFuncCache = !disk
+					if disk {
+						d, err := store.OpenDisk(dir)
+						if err != nil {
+							t.Fatal(err)
+						}
+						o.Store = d
+					}
+					p, err := core.NewProject(img, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := p.Trace([]core.Input{w.Input()}); err != nil {
+						t.Fatalf("%s: trace: %v", name, err)
+					}
+					rec, err := p.Recompile()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					s := &p.Stats
+					return p, marshalImg(t, rec), replayStats{s.Funcs, s.Blocks, s.CodeSize, s.Fences,
+						s.NumExternal, s.ICFTs, s.TraceInsts, s.FencesGone}
+				}
+				_, want, wantStats := run(false)
+				cold, coldImg, coldStats := run(true)
+				warm, warmImg, warmStats := run(true)
+				if !bytes.Equal(coldImg, want) || coldStats != wantStats {
+					t.Errorf("%s: cold-store recompile diverged from store off: stats %+v, want %+v", name, coldStats, wantStats)
+				}
+				if !bytes.Equal(warmImg, want) || warmStats != wantStats {
+					t.Errorf("%s: warm replay diverged from store off: stats %+v, want %+v", name, warmStats, wantStats)
+				}
+				if cold.Stats.CacheMisses == 0 || warm.Stats.CacheHits+warm.Stats.CacheMisses != 0 || warm.Stats.StoreDiskMisses != 0 {
+					t.Errorf("%s: functions built cold %d, warm %d, warm disk misses %d; want some, 0, 0", name,
+						cold.Stats.CacheMisses, warm.Stats.CacheHits+warm.Stats.CacheMisses, warm.Stats.StoreDiskMisses)
+				}
+			}
+		}
 	}
 }
