@@ -4,7 +4,8 @@ package core
 // pruning keeps the memory tier bounded to the live bodies across an additive
 // session, a stored body whose symbol references no longer resolve in a
 // fresh module degrades to a counted miss that the recompile then repairs,
-// and a stored CFG that names a block it does not hold is re-disassembled.
+// a stored CFG that names a block it does not hold is re-disassembled, and
+// a stored image that breaks the section rules is rebuilt.
 
 import (
 	"bytes"
@@ -240,10 +241,71 @@ func TestPoisonedCFGArtifactFallsBackToDisassembly(t *testing.T) {
 	}
 }
 
+// TestPoisonedImageArtifactIsRebuilt seeds a shared store, as any daemon
+// client may PUT it, with an image artifact whose stats parse but whose
+// binary image breaks the section geometry rules. The project must rebuild
+// the image through the full pipeline, return the store-off bytes, and
+// overwrite the entry with one that decodes.
+func TestPoisonedImageArtifactIsRebuilt(t *testing.T) {
+	img, _, err := cc.Compile(edgeFptrSrc, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.NoFuncCache = true
+	clean, err := NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := clean.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bad := rec.Clone()
+	bad.Sections[1].Addr = bad.Sections[0].Addr // overlaps the first section
+	poison := encodeImageArtifact(bad, 1, 2, 3, false)
+	if _, _, _, _, _, ok := decodeImageArtifact(poison); ok {
+		t.Fatal("poisoned image artifact decodes")
+	}
+	o.NoFuncCache = false
+	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	p, err := NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := p.imageKey()
+	if !ok {
+		t.Fatal("no image key")
+	}
+	o.SharedStore.Put(nsImage, key, poison)
+	if rec, err = p.Recompile(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("recompile after a poisoned image artifact diverged from a clean project")
+	}
+	data, _, ok := o.SharedStore.Get(nsImage, key)
+	if !ok {
+		t.Fatal("image entry missing after the rebuild")
+	}
+	if _, _, _, _, _, ok := decodeImageArtifact(data); !ok {
+		t.Fatal("poisoned image artifact survived")
+	}
+}
+
 // TestNoStoreComputesNoKeys pins that a project with the artifact store off
-// derives no cfg, trace or image key, so it fingerprints, marshals and
-// encodes nothing for artifacts it would throw away; the same project with
-// the store on derives all three.
+// derives no cfg, trace or image key, so it fingerprints and encodes
+// nothing for artifacts it would throw away; the same project with the
+// store on derives all three.
 func TestNoStoreComputesNoKeys(t *testing.T) {
 	img, _, err := cc.Compile(edgeFptrSrc, cc.Config{Name: "t", Opt: 2})
 	if err != nil {

@@ -209,10 +209,9 @@ type Project struct {
 	store *store.Tiered
 
 	// imgFP caches the input-image fingerprint, the root of every artifact
-	// key (computed once; imgFPOK false disables all artifact traffic).
+	// key (computed once, and only with the store on).
 	imgFPOnce sync.Once
 	imgFP     store.Key
-	imgFPOK   bool
 
 	// graphKey is Graph's derivation key (stages.go), valid while
 	// graphKeyOK. It is set only when imageFP yields a key, and a trace

@@ -113,9 +113,7 @@ func (p *Project) Recompile() (*image.Image, error) {
 		p.Stats.Recompiles++
 	})
 	if imgKeyOK {
-		if env, ok := encodeImageArtifact(res.Img, res.CodeSize, numExternal, res.Fences, st.removeFences); ok {
-			p.storePut(nsImage, imgKey, env)
-		}
+		p.storePut(nsImage, imgKey, encodeImageArtifact(res.Img, res.CodeSize, numExternal, res.Fences, st.removeFences))
 	}
 	rsp.Arg("code_size", res.CodeSize).End()
 	return res.Img, nil

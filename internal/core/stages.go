@@ -25,7 +25,12 @@
 //	image  the final lowered image       key: image, merged graph's
 //	                                          derivation key, option bits,
 //	                                          target id, callback set
-//	                                     payload: stats + image JSON
+//	                                     payload: stats +
+//	                                          image.Image.EncodeBinary
+//
+// "image" in a key is the input fingerprint (imageFP): a hash of the input
+// image's binary encoding, which covers every field, Name and Machine
+// included.
 //
 // Every key starts with a schema tag, so an encoding change orphans old
 // entries instead of misreading them; every payload decode failure is a
@@ -76,14 +81,16 @@ const (
 
 // Schema tags folded into keys; bump alongside any payload format change.
 var (
-	schemaCFG   = []byte("cfg/2")   // v2: binary payload
-	schemaTrace = []byte("trace/3") // v3: keyed by the graph's derivation key
-	schemaFunc  = []byte("func/2")  // v2: target id joined the key bytes
-	schemaImage = []byte("image/3") // v3: keyed by the graph's derivation key
+	schemaCFG   = []byte("cfg/3")   // v3: binary input fingerprint
+	schemaTrace = []byte("trace/4") // v4: binary input fingerprint
+	schemaFunc  = []byte("func/3")  // v3: binary input fingerprint
+	schemaImage = []byte("image/4") // v4: binary payload and input fingerprint
 )
 
-// Tags of the two derivation-key forms that are not a cfg key.
+// Tags of the input fingerprint and of the two derivation-key forms that
+// are not a cfg key.
 var (
+	tagInputImage   = []byte("input-image/1")
 	tagGraphContent = []byte("graph-content/1")
 	tagGraphMerge   = []byte("graph-merge/1")
 )
@@ -118,22 +125,18 @@ func (p *Project) storePut(ns string, key store.Key, data []byte) {
 	p.store.Put(ns, key, data)
 }
 
-// imageFP is the fingerprint of the input image bytes, the root of every
-// artifact key. Computed once per project; with the store off there is no
-// key to compute, so every artifact key and payload is skipped.
+// imageFP is the fingerprint of the input image, the root of every
+// artifact key: a hash of its binary encoding. Computed once per project;
+// with the store off there is no key to compute, so every artifact key and
+// payload is skipped.
 func (p *Project) imageFP() (store.Key, bool) {
 	if p.store == nil {
 		return store.Key{}, false
 	}
 	p.imgFPOnce.Do(func() {
-		data, err := p.Img.Marshal()
-		if err != nil {
-			return // imgFPOK stays false: all artifact probes disabled
-		}
-		p.imgFP = store.KeyOf(data)
-		p.imgFPOK = true
+		p.imgFP = store.KeyOf(tagInputImage, p.Img.EncodeBinary())
 	})
-	return p.imgFP, p.imgFPOK
+	return p.imgFP, true
 }
 
 // contentKey is the derivation key that names g by its content.
@@ -321,15 +324,12 @@ func decodeTraceArtifact(data []byte) (*tracer.Result, bool) {
 	return res, len(data) == 0
 }
 
-// encodeImageArtifact serializes the final lowered image plus the scalar
-// stats a replayed Recompile must restore (code size, external-entry count,
-// emitted-fence count, fence state) so cold and replayed runs report
-// identically.
-func encodeImageArtifact(img *image.Image, codeSize, numExternal, fences int, fencesGone bool) ([]byte, bool) {
-	data, err := img.Marshal()
-	if err != nil {
-		return nil, false
-	}
+// encodeImageArtifact serializes the scalar stats a replayed Recompile must
+// restore (code size, external-entry count, emitted-fence count, fence
+// state), so cold and replayed runs report identically, followed by the
+// final lowered image's binary form.
+func encodeImageArtifact(img *image.Image, codeSize, numExternal, fences int, fencesGone bool) []byte {
+	data := img.EncodeBinary()
 	buf := make([]byte, 0, 25+len(data))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(codeSize))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(numExternal))
@@ -339,7 +339,7 @@ func encodeImageArtifact(img *image.Image, codeSize, numExternal, fences int, fe
 	} else {
 		buf = append(buf, 0)
 	}
-	return append(buf, data...), true
+	return append(buf, data...)
 }
 
 // decodeImageArtifact parses encodeImageArtifact's form; !ok on any
@@ -348,7 +348,7 @@ func decodeImageArtifact(data []byte) (img *image.Image, codeSize, numExternal, 
 	if len(data) < 25 {
 		return nil, 0, 0, 0, false, false
 	}
-	img, err := image.Unmarshal(data[25:])
+	img, err := image.DecodeBinary(data[25:])
 	if err != nil {
 		return nil, 0, 0, 0, false, false
 	}

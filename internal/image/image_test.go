@@ -64,41 +64,55 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+var geomText = image.Section{Name: ".text", Addr: image.TextBase, Data: []byte{1, 2, 3, 4}, Size: 4, Exec: true}
+
+// geometryCases are section layouts, each with a fragment of the error
+// Unmarshal must return for them ("" = accepted).
+var geometryCases = []struct {
+	name     string
+	sections []image.Section
+	want     string
+}{
+	{"well formed", []image.Section{geomText,
+		{Name: ".bss", Addr: image.HeapBase - 0x1000, Size: 0x1000}}, ""},
+	{"size below data", []image.Section{{Name: ".data", Addr: image.DataBase, Data: []byte{1, 2}, Size: 1}},
+		"size 1 < data 2"},
+	{"16 GiB bss", []image.Section{geomText, {Name: ".bss", Addr: image.BSSBase, Size: 16 << 30}},
+		"heap base"},
+	{"ends one past heap base", []image.Section{{Name: ".bss", Addr: image.HeapBase - 0x1000, Size: 0x1001}},
+		"heap base"},
+	{"above heap base", []image.Section{{Name: ".bss", Addr: image.HeapBase, Size: 8}}, "heap base"},
+	{"wraps", []image.Section{{Name: ".bss", Addr: ^uint64(0) - 7, Size: 16}}, "heap base"},
+	{"out of order", []image.Section{{Name: ".bss", Addr: image.BSSBase, Size: 8}, geomText},
+		"out of address order"},
+	{"overlap", []image.Section{geomText, {Name: ".bss", Addr: image.TextBase + 2, Size: 8}}, "overlaps"},
+}
+
+// geometryImage is the image of one geometryCases entry.
+func geometryImage(name string, sections []image.Section) *image.Image {
+	return &image.Image{Name: name, Entry: image.TextBase, Sections: sections}
+}
+
 // TestUnmarshalRejectsBadSectionGeometry: a serialized image may only
 // declare sections that AddSection could have built below the VM heap, so
-// a body of a few hundred bytes cannot make the loader map gigabytes.
+// a body of a few hundred bytes cannot make the loader map gigabytes. The
+// binary decoder enforces the same rules.
 func TestUnmarshalRejectsBadSectionGeometry(t *testing.T) {
-	text := image.Section{Name: ".text", Addr: image.TextBase, Data: []byte{1, 2, 3, 4}, Size: 4, Exec: true}
-	cases := []struct {
-		name     string
-		sections []image.Section
-		want     string // error substring; "" = accepted
-	}{
-		{"well formed", []image.Section{text,
-			{Name: ".bss", Addr: image.HeapBase - 0x1000, Size: 0x1000}}, ""},
-		{"size below data", []image.Section{{Name: ".data", Addr: image.DataBase, Data: []byte{1, 2}, Size: 1}},
-			"size 1 < data 2"},
-		{"16 GiB bss", []image.Section{text, {Name: ".bss", Addr: image.BSSBase, Size: 16 << 30}},
-			"heap base"},
-		{"ends one past heap base", []image.Section{{Name: ".bss", Addr: image.HeapBase - 0x1000, Size: 0x1001}},
-			"heap base"},
-		{"above heap base", []image.Section{{Name: ".bss", Addr: image.HeapBase, Size: 8}}, "heap base"},
-		{"wraps", []image.Section{{Name: ".bss", Addr: ^uint64(0) - 7, Size: 16}}, "heap base"},
-		{"out of order", []image.Section{{Name: ".bss", Addr: image.BSSBase, Size: 8}, text},
-			"out of address order"},
-		{"overlap", []image.Section{text, {Name: ".bss", Addr: image.TextBase + 2, Size: 8}}, "overlaps"},
-	}
-	for _, tc := range cases {
-		data, err := (&image.Image{Name: tc.name, Entry: image.TextBase, Sections: tc.sections}).Marshal()
+	for _, tc := range geometryCases {
+		im := geometryImage(tc.name, tc.sections)
+		data, err := im.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = image.Unmarshal(data)
-		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%s: rejected: %v", tc.name, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		_, jerr := image.Unmarshal(data)
+		_, berr := image.DecodeBinary(im.EncodeBinary())
+		for _, err := range []error{jerr, berr} {
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+			}
 		}
 	}
 }

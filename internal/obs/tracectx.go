@@ -10,6 +10,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strings"
 )
 
 // TraceContext identifies one position in a distributed trace: the
@@ -62,8 +63,9 @@ func (tc TraceContext) Child() TraceContext {
 
 // ParseTraceparent parses a traceparent header value. Unknown future
 // versions are accepted if their first two fields parse (per the W3C
-// forward-compatibility rule); version "ff", malformed hex, wrong field
-// widths, and all-zero ids are rejected.
+// forward-compatibility rule); version "ff", malformed or uppercase hex
+// (the W3C fields are lowercase only, so an accepted header re-renders
+// exactly), wrong field widths, and all-zero ids are rejected.
 func ParseTraceparent(s string) (TraceContext, bool) {
 	// version(2) - trace-id(32) - parent-id(16) - flags(2), dash-separated;
 	// future versions may append "-..." suffixes.
@@ -71,6 +73,9 @@ func ParseTraceparent(s string) (TraceContext, bool) {
 		return TraceContext{}, false
 	}
 	if len(s) > 55 && s[55] != '-' {
+		return TraceContext{}, false
+	}
+	if strings.ContainsAny(s[:55], "ABCDEF") { // hex.DecodeString takes both cases
 		return TraceContext{}, false
 	}
 	ver, err := hex.DecodeString(s[0:2])

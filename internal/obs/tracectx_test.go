@@ -23,8 +23,13 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+const (
+	goodTraceparent   = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	futureTraceparent = "cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra"
+)
+
 func TestParseTraceparent(t *testing.T) {
-	const good = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	const good = goodTraceparent
 	tc, ok := ParseTraceparent(good)
 	if !ok {
 		t.Fatalf("rejected valid traceparent %q", good)
@@ -50,6 +55,11 @@ func TestParseTraceparent(t *testing.T) {
 		"zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // non-hex version
 		"00-0af7651916cd43dd8448eb211c8031zz-b7ad6b7169203331-01",  // non-hex trace id
 		"000af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-011",  // missing dash
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",  // uppercase ids
+		"00-0af7651916cd43dd8448eb211c80319C-b7ad6b7169203331-01",  // uppercase trace id digit
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b716920333A-01",  // uppercase span id digit
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0A",  // uppercase flags
+		"CC-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",  // uppercase version
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {
@@ -58,10 +68,33 @@ func TestParseTraceparent(t *testing.T) {
 	}
 
 	// A future version with a trailing field parses (forward compatibility).
-	future := "cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra"
+	future := futureTraceparent
 	if _, ok := ParseTraceparent(future); !ok {
 		t.Errorf("rejected future-version traceparent %q", future)
 	}
+}
+
+// FuzzParseTraceparent fuzzes the trace-header parser every job and store
+// request goes through. It must report !ok, or a valid context whose
+// version-00 rendering reproduces the input's first four fields exactly; a
+// version-00 input is exactly those fields, so it re-renders byte for byte.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(goodTraceparent)
+	f.Add(futureTraceparent)
+	f.Add("00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01")
+	f.Add("ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("%q: accepted an invalid context %+v", s, tc)
+		}
+		if got := tc.Traceparent(); got[2:] != s[2:55] || (s[:2] == "00" && got != s) {
+			t.Fatalf("%q: re-renders as %q", s, got)
+		}
+	})
 }
 
 func TestChildKeepsTraceID(t *testing.T) {

@@ -15,13 +15,43 @@
 //     the lowest value: the same error a serial run would have surfaced
 //     first. Callers that preallocate per-index result slots therefore see
 //     a fully populated result set on the non-erroring indices.
+//
+// A call that panics is recovered on the goroutine that ran it and counts
+// as that index's error, a *PanicError, under the same contract: one bad
+// unit of work fails its caller, never the process.
 package pool
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is the error of a call that panicked: its index, the value it
+// panicked with, and the stack of the goroutine at the panic.
+type PanicError struct {
+	Index int
+	Value any
+	Stack []byte
+}
+
+// Error renders the index, the value and the stack, so a command that
+// prints the error shows where the panic happened.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pool: index %d panicked: %v\n\n%s", e.Index, e.Value, e.Stack)
+}
+
+// call runs f(w, i), turning a panic into a *PanicError.
+func call(f func(w, i int) error, w, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return f(w, i)
+}
 
 // Clamp returns the worker count Run will actually use for n items: at least
 // 1, at most n, and never more than workers (workers <= 0 is treated as 1 by
@@ -76,7 +106,7 @@ func RunCtx(ctx context.Context, workers, n int, f func(w, i int) error) error {
 			if cancelled() {
 				return ctx.Err()
 			}
-			if err := f(0, i); err != nil {
+			if err := call(f, 0, i); err != nil {
 				return err
 			}
 		}
@@ -95,7 +125,7 @@ func RunCtx(ctx context.Context, workers, n int, f func(w, i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = f(w, i)
+				errs[i] = call(f, w, i)
 			}
 		}(w)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -167,3 +168,42 @@ func TestRunWorkerIndexInRange(t *testing.T) {
 		t.Fatalf("%d calls saw a worker index outside [0, %d)", bad.Load(), max)
 	}
 }
+
+// TestRunContainsPanics: a call that panics becomes its index's
+// *PanicError, carrying the value and the panicking goroutine's stack, and
+// the error-ordering contract holds around it: the serial path runs the
+// indices before it and stops, the parallel path runs every other index.
+func TestRunContainsPanics(t *testing.T) {
+	const n, bad = 12, 5
+	for _, workers := range []int{1, 4} {
+		var ran [n]atomic.Int32
+		err := pool.Run(workers, n, func(w, i int) error {
+			ran[i].Add(1)
+			if i == bad {
+				panicAt(i)
+			}
+			return nil
+		})
+		var pe *pool.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if pe.Index != bad || pe.Value != "task 5" {
+			t.Errorf("workers=%d: index %d value %v, want %d and %q", workers, pe.Index, pe.Value, bad, "task 5")
+		}
+		if !strings.Contains(string(pe.Stack), "pool_test.panicAt") {
+			t.Errorf("workers=%d: stack does not name the panicking function:\n%s", workers, pe.Stack)
+		}
+		for i := range ran {
+			want := int32(1)
+			if workers == 1 && i > bad {
+				want = 0 // the serial path stops at the first error
+			}
+			if got := ran[i].Load(); got != want {
+				t.Errorf("workers=%d: index %d ran %d times, want %d", workers, i, got, want)
+			}
+		}
+	}
+}
+
+func panicAt(i int) { panic(fmt.Sprintf("task %d", i)) }

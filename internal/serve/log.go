@@ -12,11 +12,13 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // reqInfo is the per-request observability state threaded from admission
@@ -127,6 +129,20 @@ func (s *Server) logRequest(r *http.Request, rr *responseRecorder, info *reqInfo
 		slog.Int64("bytes_in", bytesIn),
 		slog.Int64("bytes_out", rr.bytes),
 	)
+}
+
+// logPanic records a job's recovered panic with the stack its 500 leaves
+// out, under the request's trace id. Nil logger: no-op.
+func (s *Server) logPanic(r *http.Request, kind string, pe *pool.PanicError) {
+	if s.logger == nil {
+		return
+	}
+	attrs := []slog.Attr{slog.String("kind", kind), slog.String("panic", fmt.Sprint(pe.Value)),
+		slog.String("stack", string(pe.Stack))}
+	if info := reqInfoFrom(r.Context()); info != nil {
+		attrs = append(attrs, slog.String("trace_id", info.tc.TraceIDHex()))
+	}
+	s.logger.LogAttrs(r.Context(), slog.LevelError, "job panic", attrs...)
 }
 
 // outcomeForStatus maps an HTTP status to the access log's outcome field

@@ -76,6 +76,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/mx"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/store"
 )
 
@@ -366,6 +367,7 @@ type httpError struct {
 }
 
 func (e *httpError) Error() string { return e.err.Error() }
+func (e *httpError) Unwrap() error { return e.err }
 
 func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
@@ -393,7 +395,9 @@ type jobRequest struct {
 // job wraps one request: body parsing, per-job span (tagged with the
 // request's distributed trace id, so the daemon's span trace stitches to
 // the client's), counters, the latency histogram, and error mapping. fn
-// writes the success response itself.
+// writes the success response itself. A panic in fn, on this goroutine or
+// on a pipeline pool worker, fails only this job: a 500 with outcome
+// "panic" (logPanic records the stack).
 func (s *Server) job(w http.ResponseWriter, r *http.Request, kind string,
 	fn func(w http.ResponseWriter, req *jobRequest) error) {
 	t0 := time.Now()
@@ -430,14 +434,23 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request, kind string,
 
 	req, err := s.parseJob(w, r)
 	if err == nil {
-		err = fn(w, req)
+		// One recovery for both goroutines: pool.Run recovers a panic here
+		// into the *pool.PanicError a panicking pipeline task returns.
+		err = pool.Run(1, 1, func(int, int) error { return fn(w, req) })
 	}
 	if err != nil {
 		status := http.StatusInternalServerError
 		if he, ok := err.(*httpError); ok {
 			status = he.status
 		}
+		msg := err.Error()
+		var pe *pool.PanicError
 		switch {
+		case errors.As(err, &pe):
+			// The stack goes to the log, not to the client.
+			outcome, status = "panic", http.StatusInternalServerError
+			msg = fmt.Sprintf("job panicked: %v", pe.Value)
+			s.logPanic(r, kind, pe)
 		case r.Context().Err() != nil:
 			// The client disconnected or timed out; the error is the
 			// cancellation surfacing through the pipeline, not a job
@@ -450,7 +463,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request, kind string,
 		default:
 			outcome = "client_error"
 		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, msg, status)
 	}
 }
 
