@@ -68,7 +68,6 @@ func (p *Project) putFunc(key store.Key, f *ir.Func, sites int) {
 // optimized body looks like. Worker count is deliberately absent: output is
 // independent of -jpipe by the determinism contract (DESIGN.md §3).
 type cacheKeyOpts struct {
-	insertFences bool
 	naiveAtomics bool
 	optimize     bool
 	verifyIR     bool
@@ -80,11 +79,23 @@ type cacheKeyOpts struct {
 	target byte
 }
 
-func (k cacheKeyOpts) bits() byte {
-	var b byte
-	if k.insertFences {
-		b |= 1
+// keyOpts returns the key options of a build under st for the lowering
+// target with the given ID. Image and function keys both take theirs from
+// here, so the two can never disagree on an option.
+func (p *Project) keyOpts(st buildState, target byte) cacheKeyOpts {
+	return cacheKeyOpts{
+		naiveAtomics: p.Opts.NaiveAtomics,
+		optimize:     st.optimize,
+		verifyIR:     p.Opts.VerifyIR,
+		removeFences: st.removeFences,
+		target:       target,
 	}
+}
+
+func (k cacheKeyOpts) bits() byte {
+	// Bit 0 stands for fence insertion, which every build does; it stays
+	// set so that keys in existing stores stay valid.
+	b := byte(1)
 	if k.naiveAtomics {
 		b |= 2
 	}

@@ -95,13 +95,7 @@ func TestStaleFuncArtifactDegradesToMiss(t *testing.T) {
 	for _, cf := range funcs {
 		isFunc[cf.Entry] = true
 	}
-	ko := cacheKeyOpts{
-		insertFences: p.Opts.InsertFences,
-		naiveAtomics: p.Opts.NaiveAtomics,
-		optimize:     p.Opts.Optimize,
-		verifyIR:     p.Opts.VerifyIR,
-		removeFences: p.removeFences,
-	}
+	ko := p.keyOpts(p.buildState(), p.target().ID)
 	key, ok := p.funcKey(fingerprintFunc(p.Img, p.Graph, funcs[0], isFunc, ko))
 	if !ok {
 		t.Fatal("funcKey unavailable")

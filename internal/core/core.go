@@ -37,13 +37,8 @@ import (
 
 // Options configures a recompilation project.
 type Options struct {
-	// InsertFences applies Lasagne-style fence insertion (default true via
-	// DefaultOptions; disable only for the unsound ablation).
-	InsertFences bool
 	// NaiveAtomics selects the Listing 1 global-lock atomic translation.
 	NaiveAtomics bool
-	// Optimize runs the refinement pass pipeline.
-	Optimize bool
 	// VerifyIR re-verifies the IR after every pass (slow; tests).
 	VerifyIR bool
 	// Target names the ISA description lowering emits for ("" or "mx64"
@@ -97,7 +92,7 @@ type Options struct {
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{InsertFences: true, Optimize: true, Fuel: 2_000_000_000, Seed: 1}
+	return Options{Fuel: 2_000_000_000, Seed: 1}
 }
 
 // Input is one concrete execution used by the dynamic analyses.

@@ -153,7 +153,7 @@ type buildState struct {
 
 // buildState returns the state the project's analyses have established.
 func (p *Project) buildState() buildState {
-	return buildState{callbacks: p.callbackSet, removeFences: p.removeFences, optimize: p.Opts.Optimize}
+	return buildState{callbacks: p.callbackSet, removeFences: p.removeFences, optimize: true}
 }
 
 // noCallbacks reports whether the callback analysis proved that no guest
@@ -187,10 +187,7 @@ func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 	lf := lifter.NewSkeleton(p.Img, p.Graph)
 	funcs := lifter.SortedFuncs(p.Graph)
 	ssp.Arg("funcs", len(funcs)).End()
-	lopts := lifter.Options{
-		InsertFences: p.Opts.InsertFences,
-		NaiveAtomics: p.Opts.NaiveAtomics,
-	}
+	lopts := lifter.Options{InsertFences: true, NaiveAtomics: p.Opts.NaiveAtomics}
 	oo := opt.Options{Verify: p.Opts.VerifyIR, NoCallbacks: st.noCallbacks(p.Img.Entry)}
 
 	// One trace track per pool worker, allocated up front (AllocTID is safe
@@ -225,14 +222,7 @@ func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 		for _, cf := range funcs {
 			isFunc[cf.Entry] = true
 		}
-		ko := cacheKeyOpts{
-			insertFences: p.Opts.InsertFences,
-			naiveAtomics: p.Opts.NaiveAtomics,
-			optimize:     st.optimize,
-			verifyIR:     p.Opts.VerifyIR,
-			removeFences: st.removeFences,
-			target:       tgt.ID,
-		}
+		ko := p.keyOpts(st, tgt.ID)
 		fsp := tr.Begin(p.obsTID(), "pipeline", "fingerprint")
 		keys = make([]store.Key, len(funcs))
 		for i, cf := range funcs {

@@ -233,14 +233,7 @@ func (p *Project) imageKey() (store.Key, bool) {
 	if tgt == nil {
 		return store.Key{}, false
 	}
-	ko := cacheKeyOpts{
-		insertFences: p.Opts.InsertFences,
-		naiveAtomics: p.Opts.NaiveAtomics,
-		optimize:     p.Opts.Optimize,
-		verifyIR:     p.Opts.VerifyIR,
-		removeFences: p.removeFences,
-		target:       tgt.ID,
-	}
+	ko := p.keyOpts(p.buildState(), tgt.ID)
 	parts := [][]byte{schemaImage, imgFP[:], p.graphKey[:], {ko.bits(), ko.target}}
 	if p.callbackSet == nil {
 		parts = append(parts, store.U64(^uint64(0)))

@@ -244,10 +244,12 @@ type replayStats struct {
 // TestReplayIdentityAcrossCorpus runs every corpus (image, target) key,
 // traced on its primary input, three ways: store off, over a cold disk store,
 // and as a warm replay from that store in a fresh process (a new Disk handle
-// and project). All three must give identical image bytes and Stats. The
+// and project). All three must give identical image bytes and Stats, and the
+// store-off image must match its committed digest (digest_test.go). The
 // warm run replays the cfg, trace and image artifacts through derivation
 // keys, so this pins that equal keys name equal graphs across the corpus.
 func TestReplayIdentityAcrossCorpus(t *testing.T) {
+	digests := corpusDigests(t, "traced")
 	for _, w := range workloads.All() {
 		for _, lvl := range []int{0, 2} {
 			img, err := w.Compile(lvl)
@@ -284,6 +286,7 @@ func TestReplayIdentityAcrossCorpus(t *testing.T) {
 						s.NumExternal, s.ICFTs, s.TraceInsts, s.FencesGone}
 				}
 				_, want, wantStats := run(false)
+				checkDigest(t, digests, name+"/traced", want)
 				cold, coldImg, coldStats := run(true)
 				warm, warmImg, warmStats := run(true)
 				if !bytes.Equal(coldImg, want) || coldStats != wantStats {
@@ -299,4 +302,5 @@ func TestReplayIdentityAcrossCorpus(t *testing.T) {
 			}
 		}
 	}
+	checkNoStaleDigests(t, digests)
 }

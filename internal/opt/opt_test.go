@@ -304,7 +304,7 @@ func TestGuestMemForwardRespectsClobbers(t *testing.T) {
 	st2.Width = 8
 	b.Append(ir.OpRet)
 
-	opt.GuestMemForward(f)
+	opt.LocalForward(f)
 	if err := ir.VerifyFunc(f); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestDeadStoreWithinBlock(t *testing.T) {
 	st2.Width = 8
 	b.Append(ir.OpRet)
 
-	opt.GuestMemForward(f)
+	opt.LocalForward(f)
 	stores := opt.CountOps(f, ir.OpStore)
 	if stores != 1 {
 		t.Fatalf("dead store not removed: %d stores", stores)

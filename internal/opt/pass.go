@@ -24,12 +24,10 @@ type Pass struct {
 
 func passesWith(noCallbacks bool) []Pass {
 	return []Pass{
-		{"vreg-forward", func(f *ir.Func) bool { return localVRegForward(f, noCallbacks) }},
 		{"vreg-promote", func(f *ir.Func) bool { return promoteVRegs(f, noCallbacks) }},
 		{"vreg-dse", func(f *ir.Func) bool { return vregDeadStoreElim(f, noCallbacks) }},
 		{"constfold", ConstFold},
-		{"cse", LocalCSE},
-		{"mem-forward", GuestMemForward},
+		{"local-forward", LocalForward},
 		{"dce", DCE},
 		{"simplifycfg", SimplifyCFG},
 	}

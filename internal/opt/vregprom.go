@@ -7,13 +7,13 @@ import "repro/internal/ir"
 // through vreg loads/stores; these passes rebuild SSA over them so the
 // optimizer sees dataflow (§2.2.1's "refinement").
 //
-// Correctness contract: calls to lifted functions, external calls, and
-// compiler barriers all observe and may modify the virtual state (callees
-// receive state through the globals; callbacks may re-enter guest code). So
-// stores are never moved across those instructions, and load forwarding is
-// invalidated by them. Stores are kept in place by the forwarding passes;
-// vregDeadStoreElim then removes stores that are provably overwritten before
-// any reader.
+// Correctness contract: calls to lifted functions and external calls
+// observe and may modify the virtual state (callees receive state through
+// the globals; callbacks may re-enter guest code). So stores are never moved
+// across them, and they invalidate the known values the ABI classes below
+// do not preserve. promoteVRegs forwards loads and keeps stores in place
+// (except sinking them out of call-free loops); vregDeadStoreElim then
+// removes stores that are provably overwritten before any reader.
 
 // isVRegBarrier reports whether v invalidates known virtual-state values.
 // Compiler barriers (the atomic-translation brackets, §3.3.1) pin the
@@ -59,6 +59,11 @@ func vregClass(g *ir.Global) int {
 	}
 }
 
+// CalleeSavedVReg reports whether g is a callee-saved virtual register
+// (vr_rbx, vr_rbp, vr_rsp, vr_r12..r15), which the source ABI preserves
+// across calls. The spinloop analysis (internal/spindet) shares this table.
+func CalleeSavedVReg(g *ir.Global) bool { return vregClass(g) == classCalleeSaved }
+
 // liveAtBarrier reports whether a global of the given class is live at a
 // barrier of the given op. noCallbacks relaxes the external-call contract:
 // when the dynamic analysis proved no host-to-guest re-entry, external calls
@@ -67,9 +72,6 @@ func liveAtBarrier(class int, op ir.Op, noCallbacks bool) bool {
 	switch op {
 	case ir.OpRet:
 		return class == classCalleeSaved || class == classRet
-	case ir.OpCall:
-		// Callee may read any register state (arguments, spilled values).
-		return class != classFlag
 	case ir.OpCallExt:
 		if noCallbacks {
 			return false
@@ -77,8 +79,9 @@ func liveAtBarrier(class int, op ir.Op, noCallbacks bool) bool {
 		// The host reads arguments natively (explicit IR values); only the
 		// state a callback wrapper round-trips must be current.
 		return class == classCalleeSaved
-	default: // OpBarrier: conservative
-		return true
+	default: // OpCall
+		// The callee may read any register state (arguments, spilled values).
+		return class != classFlag
 	}
 }
 
@@ -86,7 +89,7 @@ func liveAtBarrier(class int, op ir.Op, noCallbacks bool) bool {
 // an external call (host functions never touch the virtual state; callbacks
 // preserve exactly the callee-saved contract).
 func survivesCallExt(g *ir.Global, noCallbacks bool) bool {
-	return noCallbacks || vregClass(g) == classCalleeSaved
+	return noCallbacks || CalleeSavedVReg(g)
 }
 
 // survivesCall reports whether a known value of g remains valid across a
@@ -98,52 +101,7 @@ func survivesCallExt(g *ir.Global, noCallbacks bool) bool {
 // the return-address slot the caller pushed (vr_rsp comes back 8 higher
 // than at the call point).
 func survivesCall(g *ir.Global) bool {
-	return vregClass(g) == classCalleeSaved && g.Name != "vr_rsp"
-}
-
-// localVRegForward forwards vreg values within each block: a load observes
-// the last store/load of the same global in the block (if no barrier
-// intervened), and consecutive stores to the same global make the earlier
-// one removable (handled by vregDeadStoreElim; here we only forward loads).
-func localVRegForward(f *ir.Func, noCallbacks bool) bool {
-	changed := false
-	for _, b := range f.Blocks {
-		vals := map[*ir.Global]*ir.Value{}
-		for i := 0; i < len(b.Insts); i++ {
-			v := b.Insts[i]
-			switch {
-			case v.Op == ir.OpVRegStore:
-				vals[v.Global] = v.Args[0]
-			case v.Op == ir.OpVRegLoad:
-				if known := vals[v.Global]; known != nil {
-					ir.ReplaceAllUses(v, known)
-					b.RemoveAt(i)
-					i--
-					changed = true
-				} else {
-					vals[v.Global] = v
-				}
-			case isVRegBarrier(v):
-				switch v.Op {
-				case ir.OpCallExt:
-					for g := range vals {
-						if !survivesCallExt(g, noCallbacks) {
-							delete(vals, g)
-						}
-					}
-				case ir.OpCall:
-					for g := range vals {
-						if !survivesCall(g) {
-							delete(vals, g)
-						}
-					}
-				default:
-					vals = map[*ir.Global]*ir.Value{}
-				}
-			}
-		}
-	}
-	return changed
+	return CalleeSavedVReg(g) && g.Name != "vr_rsp"
 }
 
 // promoKey identifies a (global, block-entry) availability query.
@@ -159,52 +117,52 @@ type outState struct {
 	transparent bool      // untouched: entry value flows through
 }
 
-// promoteVRegs replaces vreg loads at block entries with values flowing in
-// from predecessors, inserting phis where paths disagree (Braun-style
-// on-demand SSA construction with poison for unknown-at-entry paths). This
-// is what turns a lifted loop counter back into an SSA induction value.
+// promoteVRegs rebuilds SSA over the vregs. A load whose value its block
+// already knows (from an earlier store or load of the same global, with no
+// call in between that may change it) is forwarded in place. A load at a
+// block entry is replaced by the values flowing in from the predecessors,
+// with phis where paths disagree (Braun-style on-demand SSA construction
+// with poison for unknown-at-entry paths). This is what turns a lifted loop
+// counter back into an SSA induction value. It reports whether it forwarded
+// or replaced a load or sank a store.
 func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 	preds := ir.Preds(f)
+	changed := false
 
 	// Per-block local summaries and the set of promotable entry loads.
 	outs := map[*ir.Block]map[*ir.Global]outState{}
 	type topLoad struct {
-		b   *ir.Block
-		v   *ir.Value
-		idx int
-		g   *ir.Global
+		b *ir.Block
+		v *ir.Value
+		g *ir.Global
 	}
 	var tops []topLoad
 	for _, b := range f.Blocks {
 		vals := map[*ir.Global]*ir.Value{}
 		barrier := false
-		for i, v := range b.Insts {
+		for i := 0; i < len(b.Insts); i++ {
+			v := b.Insts[i]
 			switch {
 			case v.Op == ir.OpVRegStore:
 				vals[v.Global] = v.Args[0]
 			case v.Op == ir.OpVRegLoad:
-				if vals[v.Global] == nil && !barrier {
-					tops = append(tops, topLoad{b, v, i, v.Global})
+				if known := vals[v.Global]; known != nil {
+					ir.ReplaceAllUses(v, known)
+					b.RemoveAt(i)
+					i--
+					changed = true
+					continue
 				}
-				if vals[v.Global] == nil {
-					vals[v.Global] = v
+				if !barrier {
+					tops = append(tops, topLoad{b, v, v.Global})
 				}
+				vals[v.Global] = v
 			case isVRegBarrier(v):
-				switch v.Op {
-				case ir.OpCallExt:
-					for g := range vals {
-						if !survivesCallExt(g, noCallbacks) {
-							delete(vals, g)
-						}
+				for g := range vals {
+					if v.Op == ir.OpCall && !survivesCall(g) ||
+						v.Op == ir.OpCallExt && !survivesCallExt(g, noCallbacks) {
+						delete(vals, g)
 					}
-				case ir.OpCall:
-					for g := range vals {
-						if !survivesCall(g) {
-							delete(vals, g)
-						}
-					}
-				default:
-					vals = map[*ir.Global]*ir.Value{}
 				}
 				barrier = true
 			}
@@ -292,8 +250,8 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 
 	// Poison propagation: a phi with a poisoned operand is poisoned.
 	poisoned := map[*ir.Value]bool{}
-	for changed := true; changed; {
-		changed = false
+	for again := true; again; {
+		again = false
 		for _, phi := range phis {
 			if poisoned[phi] {
 				continue
@@ -301,7 +259,7 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 			for _, a := range phi.Args {
 				if a == poisonVal || poisoned[a] {
 					poisoned[phi] = true
-					changed = true
+					again = true
 					break
 				}
 			}
@@ -328,8 +286,8 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 	}
 
 	// Trivial-phi elimination: phi(v, v, .., self) == v.
-	for changed := true; changed; {
-		changed = false
+	for again := true; again; {
+		again = false
 		for _, phi := range phis {
 			if poisoned[phi] || replaced[phi] != nil {
 				continue
@@ -350,7 +308,7 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 			}
 			if trivial && uniq != nil {
 				replaced[phi] = uniq
-				changed = true
+				again = true
 			}
 		}
 	}
@@ -366,9 +324,11 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 	}
 
 	// Apply all replacements across the function.
-	anyChange := len(replaced) > 0
 	for _, tl := range tops {
-		ir.ReplaceAllUses(tl.v, resolve(tl.v))
+		if r := resolve(tl.v); r != tl.v {
+			ir.ReplaceAllUses(tl.v, r)
+			changed = true
+		}
 	}
 	for _, phi := range phis {
 		ir.ReplaceAllUses(phi, resolve(phi))
@@ -507,7 +467,7 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 				st.SetArgs(fl.val)
 				fl.to.InsertBefore(st, pos)
 			}
-			anyChange = true
+			changed = true
 		}
 	}
 	// Phis created during sinking may reference loads that were replaced
@@ -518,19 +478,12 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 		}
 	}
 
-	// Drop poisoned and replaced phis (they must have no remaining real
-	// uses), and count surviving phis as a change. Whether a phi is used
-	// is read before any phi goes.
-	used := make([]bool, len(phis))
-	for i, phi := range phis {
-		used[i] = phi.NumUses() > 0
-	}
-	for i, phi := range phis {
-		if !poisoned[phi] && replaced[phi] == nil {
-			if used[i] {
-				anyChange = true
-				continue
-			}
+	// Drop poisoned phis (only other poisoned phis use them; replaced ones
+	// went with the replaced loads), then every phi left without uses,
+	// iteratively: a dropped phi may have been another's only user.
+	for _, phi := range phis {
+		if !poisoned[phi] {
+			continue
 		}
 		for j, in := range phi.Block.Insts {
 			if in == phi {
@@ -539,8 +492,6 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 			}
 		}
 	}
-	// Re-drop now-unused phis iteratively (a poisoned phi may have been the
-	// only user of another phi).
 	for {
 		removed := false
 		for _, b := range f.Blocks {
@@ -557,7 +508,7 @@ func promoteVRegs(f *ir.Func, noCallbacks bool) bool {
 			break
 		}
 	}
-	return anyChange
+	return changed
 }
 
 // vregDeadStoreElim removes vreg stores that are overwritten before any

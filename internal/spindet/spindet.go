@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/ir"
+	"repro/internal/opt"
 	"repro/internal/vm"
 )
 
@@ -424,23 +425,13 @@ func (a *analyzer) loadInfluence(v *ir.Value, visiting map[*ir.Value]bool, depth
 	return res
 }
 
-// calleeSavedVReg reports whether g is a callee-saved virtual register
-// (preserved across calls by the source ABI).
-func calleeSavedVReg(g *ir.Global) bool {
-	switch g.Name {
-	case "vr_rbx", "vr_rbp", "vr_rsp", "vr_r12", "vr_r13", "vr_r14", "vr_r15":
-		return true
-	}
-	return false
-}
-
 // reachingVRegStore finds the unique virtual-register store whose value a
 // reload observes, walking backwards through the block and unique
 // predecessors. Calls are transparent for callee-saved registers (the
 // callee restores them); anything ambiguous returns nil.
 func (a *analyzer) reachingVRegStore(v *ir.Value) *ir.Value {
 	g := v.Global
-	if !calleeSavedVReg(g) {
+	if !opt.CalleeSavedVReg(g) {
 		return nil
 	}
 	preds := ir.Preds(a.f)

@@ -203,7 +203,7 @@ func TestFenceOptimizeMatchesUnoptimizedInstrumentation(t *testing.T) {
 // then analyze a second, optimized lift of the same graph.
 func unoptimizedInstrumentationReport(t *testing.T, p *core.Project, tgt *mx.Target, in core.Input) *spindet.Report {
 	t.Helper()
-	lopts := lifter.Options{InsertFences: p.Opts.InsertFences, NaiveAtomics: p.Opts.NaiveAtomics}
+	lopts := lifter.Options{InsertFences: true, NaiveAtomics: p.Opts.NaiveAtomics}
 	lf, err := lifter.Lift(p.Img, p.Graph, lopts)
 	if err != nil {
 		t.Fatal(err)
