@@ -74,7 +74,11 @@ func resumeProject(img *image.Image, cfgPath string, opts core.Options) (*core.P
 	p.OnCFGUpdate = saveCFG(cfgPath)
 	// Checkpoint the starting graph too, so even a session that dies before
 	// its first discovery leaves a resumable file.
-	if err := p.OnCFGUpdate(p.Graph); err != nil {
+	g, err = p.CFG()
+	if err != nil {
+		return nil, false, err
+	}
+	if err := p.OnCFGUpdate(g); err != nil {
 		return nil, false, err
 	}
 	return p, resumed, nil

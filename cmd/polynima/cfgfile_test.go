@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 const fptrSrc = `
@@ -72,6 +74,62 @@ func TestCFGCheckpointResume(t *testing.T) {
 	}
 	if res2.Result.ExitCode != res1.Result.ExitCode {
 		t.Fatalf("resumed exit %d, original %d", res2.Result.ExitCode, res1.Result.ExitCode)
+	}
+}
+
+// TestCFGCheckpointOverWarmStore starts a checkpointed session over a disk
+// store an earlier project filled, where the project's graph is not built
+// until something reads it: the starting checkpoint must be the graph,
+// replayed from the store, byte-identical to the one a store-off session
+// writes.
+func TestCFGCheckpointOverWarmStore(t *testing.T) {
+	img, _, err := cc.Compile(fptrSrc, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := func(o core.Options) []byte {
+		path := filepath.Join(t.TempDir(), "session.cfg.json")
+		if _, _, err := resumeProject(img, path, o); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	off := core.DefaultOptions()
+	off.NoFuncCache = true
+	want := checkpoint(off)
+
+	dir := t.TempDir()
+	disk := func() *store.Disk {
+		d, err := store.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	o := core.DefaultOptions()
+	o.Store = disk()
+	p, err := core.NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Recompile(); err != nil {
+		t.Fatal(err)
+	}
+	d := disk()
+	o.Store = d
+	got := checkpoint(o)
+	if bytes.Equal(bytes.TrimSpace(got), []byte("null")) {
+		t.Fatal("the starting checkpoint over a warm store is a null graph")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the starting checkpoint over a warm store differs from the store-off one")
+	}
+	if d.Stats()["disk"].Hits == 0 {
+		t.Fatal("the session never read the warm store")
 	}
 }
 

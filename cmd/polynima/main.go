@@ -145,7 +145,9 @@ func main() {
 	case "disasm":
 		p, err := core.NewProject(img, opts)
 		check(err)
-		out, err := p.Graph.Marshal()
+		g, err := p.CFG()
+		check(err)
+		out, err := g.Marshal()
 		check(err)
 		os.Stdout.Write(out)
 	case "run":

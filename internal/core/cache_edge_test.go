@@ -4,17 +4,22 @@ package core
 // pruning keeps the memory tier bounded to the live bodies across an additive
 // session, a stored body whose symbol references no longer resolve in a
 // fresh module degrades to a counted miss that the recompile then repairs,
-// a stored CFG that names a block it does not hold is re-disassembled, and
-// a stored image that breaks the section rules is rebuilt.
+// a stored CFG that names a block it does not hold is re-disassembled, a
+// stored image that breaks the section rules is rebuilt, and under planted
+// trace artifacts a project whose graph materializes on first use keeps the
+// keys and callback set of one that builds its graph up front.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
+	"repro/internal/image"
 	"repro/internal/ir"
 	"repro/internal/lifter"
 	"repro/internal/store"
@@ -87,7 +92,11 @@ func TestStorePruningBoundsMemoryTier(t *testing.T) {
 func TestStaleFuncArtifactDegradesToMiss(t *testing.T) {
 	p := edgeProject(t)
 
-	funcs := lifter.SortedFuncs(p.Graph)
+	g, err := p.CFG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := lifter.SortedFuncs(g)
 	if len(funcs) == 0 {
 		t.Fatal("no functions in graph")
 	}
@@ -96,7 +105,7 @@ func TestStaleFuncArtifactDegradesToMiss(t *testing.T) {
 		isFunc[cf.Entry] = true
 	}
 	ko := p.keyOpts(p.buildState(), p.target().ID)
-	key, ok := p.funcKey(fingerprintFunc(p.Img, p.Graph, funcs[0], isFunc, ko))
+	key, ok := p.funcKey(fingerprintFunc(p.Img, g, funcs[0], isFunc, ko))
 	if !ok {
 		t.Fatal("funcKey unavailable")
 	}
@@ -458,4 +467,225 @@ func main() { print_i64(7); return 0; }`, cc.Config{Name: "t", Opt: 2})
 			t.Fatalf("seed %d: recompile built %d functions; want a pipeline run only at seed 1", seed, built)
 		}
 	}
+}
+
+// TestPoisonedSessionDifferential pins the lazy graph against the eager
+// order. Each case plants trace artifacts in a fresh backing store and runs
+// a sequence of calls twice over it, each time with a private memory tier:
+// on a project whose graph materializes on first use, and on one that calls
+// CFG right after NewProject. Both must return
+// the same bytes, name the same image key, hold the same callback set, and
+// file their artifacts under the same keys.
+//   - partial: TestPoisonedTracePairsDoNotSpread's artifact. Its first pair
+//     applies, its second does not, so the lazy project's deferred session
+//     takes Trace's fallback when the graph materializes: in a second Trace
+//     at another seed, in Recompile, or in CFG before PruneCallbacks. A
+//     callback set taken from the planted entries, or taken after the
+//     fallback replaced the session, must come from the live entries.
+//   - applies: every pair applies, and the deferred session merges as
+//     stored.
+//   - rekeyed: partial, plus one artifact under the second session's lazy
+//     key, which defers it too, and another under the key the fallback
+//     re-keys it to, which the eager project replays.
+func TestPoisonedSessionDifferential(t *testing.T) {
+	img, _, err := cc.Compile(edgeFptrSrc, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []Input{{Data: []byte("0"), Seed: 3}}
+	in2 := []Input{{Data: []byte("0"), Seed: 4}}
+	o := DefaultOptions()
+	o.NoFuncCache = true
+	clean, err := NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clean.Trace(in); err != nil {
+		t.Fatal(err)
+	}
+	var site *cfg.Block
+	for _, b := range clean.Graph.Blocks {
+		if b.Term == cfg.TermCallInd && len(b.Targets) > 0 && (site == nil || b.Addr < site.Addr) {
+			site = b
+		}
+	}
+	if site == nil {
+		t.Fatal("no traced indirect call site")
+	}
+	var spare []uint64 // functions the site does not yet call
+	for _, f := range clean.Graph.Funcs {
+		if f.Entry != clean.Graph.Entry && !site.HasTarget(f.Entry) {
+			spare = append(spare, f.Entry)
+		}
+	}
+	if len(spare) < 2 {
+		t.Fatal("too few functions to poison the site with")
+	}
+	extra := spare[0]
+	applies := tracer.SiteTarget{Site: site.Addr, Target: extra}
+	// Planted entries name a function no run enters from the host, so a
+	// callback set taken from them differs from a live one.
+	artifact := func(merged ...tracer.SiteTarget) []byte {
+		return encodeTraceArtifact(&tracer.Result{ICFTs: len(merged), Runs: 1, Merged: merged,
+			Entries: []uint64{extra}})
+	}
+	partial := artifact(applies, tracer.SiteTarget{Site: 0, Target: extra})
+	// session2Key is the key a project puts the second session under after
+	// the first, with the graph materialized first or not.
+	session2Key := func(st store.Store, cfgFirst bool) store.Key {
+		o := DefaultOptions()
+		o.Store = st
+		p, err := NewProject(img, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfgFirst {
+			if _, err := p.CFG(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.Trace(in); err != nil {
+			t.Fatal(err)
+		}
+		key, ok := p.traceKey(p.runsKey(p.tracerRuns(in2)))
+		if !ok {
+			t.Fatal("no trace key")
+		}
+		return key
+	}
+
+	for _, tc := range []struct {
+		name  string
+		plant func(st store.Store, key store.Key)
+		calls string
+	}{
+		{"partial/second-trace", plantAt(partial), "trace prune trace2 recompile"},
+		{"partial/recompile", plantAt(partial), "trace prune recompile"},
+		{"partial/cfg-before-prune", plantAt(partial), "trace cfg prune recompile"},
+		{"applies/second-trace", plantAt(artifact(applies)), "trace prune trace2 recompile"},
+		{"applies/recompile", plantAt(artifact(applies)), "trace prune recompile"},
+		{"rekeyed", func(st store.Store, key store.Key) {
+			// Both keys are computed over scratch stores, so that nothing
+			// but the three artifacts is planted.
+			scratch := func() store.Store {
+				s := store.NewMemory()
+				s.Put(nsTrace, key, partial)
+				return s
+			}
+			lazy2, eager2 := session2Key(scratch(), false), session2Key(scratch(), true)
+			if lazy2 == eager2 {
+				t.Fatal("the fallback did not re-key the second session")
+			}
+			st.Put(nsTrace, key, partial)
+			st.Put(nsTrace, lazy2, artifact())
+			st.Put(nsTrace, eager2, artifact(tracer.SiteTarget{Site: site.Addr, Target: spare[1]}))
+		}, "trace trace2 recompile"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				image     []byte
+				imageKey  store.Key
+				callbacks map[uint64]bool
+				puts      map[string]bool
+			}
+			run := func(cfgFirst bool) outcome {
+				backing := store.NewMemory()
+				log := &putLog{Store: backing, puts: map[string]bool{}}
+				o := DefaultOptions()
+				o.Store = log
+				p, err := NewProject(img, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key, ok := p.traceKey(p.runsKey(p.tracerRuns(in)))
+				if !ok {
+					t.Fatal("no trace key")
+				}
+				tc.plant(backing, key)
+				if cfgFirst {
+					if _, err := p.CFG(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var rec *image.Image
+				for _, call := range strings.Fields(tc.calls) {
+					switch call {
+					case "trace":
+						_, err = p.Trace(in)
+						if !cfgFirst && p.Graph != nil {
+							t.Fatal("the replayed session materialized the graph")
+						}
+					case "trace2":
+						_, err = p.Trace(in2)
+					case "prune":
+						err = p.PruneCallbacks(in)
+					case "cfg":
+						_, err = p.CFG()
+					case "recompile":
+						rec, err = p.Recompile()
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", call, err)
+					}
+				}
+				if !p.Graph.Blocks[site.Addr].HasTarget(extra) {
+					t.Fatal("the planted pair that applies was never merged")
+				}
+				imgKey, ok := p.imageKey()
+				if !ok {
+					t.Fatal("no image key")
+				}
+				data, err := rec.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return outcome{data, imgKey, p.callbackSet, log.puts}
+			}
+			want, got := run(true), run(false)
+			if !bytes.Equal(got.image, want.image) {
+				t.Error("lazy project's recompile diverged from the CFG-first project's")
+			}
+			if got.imageKey != want.imageKey {
+				t.Error("lazy project named another image key than the CFG-first project")
+			}
+			if !reflect.DeepEqual(got.callbacks, want.callbacks) {
+				t.Errorf("callback sets differ: lazy %v, CFG-first %v", got.callbacks, want.callbacks)
+			}
+			if !reflect.DeepEqual(got.puts, want.puts) {
+				t.Errorf("artifacts filed under different keys:\nlazy      %v\nCFG-first %v", got.puts, want.puts)
+			}
+		})
+	}
+}
+
+// plantAt returns a plant function that stores a trace artifact under the
+// first session's key.
+func plantAt(artifact []byte) func(store.Store, store.Key) {
+	return func(st store.Store, key store.Key) { st.Put(nsTrace, key, artifact) }
+}
+
+// putLog is a backing tier that records the namespace and key of every
+// Put; the pipeline's workers call it concurrently.
+type putLog struct {
+	store.Store
+	mu   sync.Mutex
+	puts map[string]bool
+}
+
+func (l *putLog) Put(ns string, key store.Key, data []byte) {
+	l.mu.Lock()
+	l.puts[ns+"/"+key.Hex()] = true
+	l.mu.Unlock()
+	l.Store.Put(ns, key, data)
+}
+
+// encodeImageArtifact and decodeImageArtifact are the image artifact codec
+// with the stats spelled out; the graph's counts encode as zero.
+func encodeImageArtifact(img *image.Image, codeSize, numExternal, fences int, fencesGone bool) []byte {
+	return imageStats{codeSize: codeSize, numExternal: numExternal, fences: fences, fencesGone: fencesGone}.encode(img)
+}
+
+func decodeImageArtifact(data []byte) (img *image.Image, codeSize, numExternal, fences int, fencesGone, ok bool) {
+	img, st, ok := decodeImage(data)
+	return img, st.codeSize, st.numExternal, st.fences, st.fencesGone, ok
 }

@@ -175,9 +175,12 @@ func (s *Stats) Total() time.Duration {
 // Project is one recompilation effort over an input binary.
 type Project struct {
 	Img *image.Image
-	// Graph is the project's CFG. Callers must not mutate it: merges go
-	// through Trace and RunAdditive, which keep the derivation key that
-	// names it in the artifact store current (stages.go).
+	// Graph is the project's CFG, or nil until it materializes: over a
+	// private artifact store, NewProject only names the graph, and the
+	// first stage that needs it builds it (CFG). Read it through CFG.
+	// Callers must not mutate it: merges go through Trace and RunAdditive,
+	// which keep the derivation key that names it in the artifact store
+	// current (stages.go).
 	Graph *cfg.Graph
 	Opts  Options
 	Stats Stats
@@ -197,6 +200,13 @@ type Project struct {
 	// entries serve PruneCallbacks over the same runs.
 	traced     *tracer.Result
 	tracedRuns store.Key
+	// callbackSrc is the session result whose entries callbackSet was
+	// taken from; nil when PruneCallbacks ran its own runs.
+	callbackSrc *tracer.Result
+	// pending are the trace sessions replayed before the graph
+	// materialized, in call order: their pairs are folded into graphKey
+	// but not yet merged into the graph (applyPending).
+	pending []pendingTrace
 
 	// store is the project's tiered artifact store (stages.go): a private
 	// generational memory tier over the optional shared Opts.Store backing.
@@ -273,14 +283,51 @@ func (p *Project) CachedFuncs() int {
 	return p.store.Mem().Len(nsFunc)
 }
 
-// NewProject disassembles the binary and prepares a project. Disassembly is
-// the first pipeline stage: its artifact (the static CFG) is a pure
-// function of the image bytes, so with a store it replays instead of
-// re-running recursive descent.
+// NewProject prepares a project over the binary. Disassembly is the first
+// pipeline stage: its artifact, the static CFG, is a pure function of the
+// image bytes. Over a private store NewProject only names the graph by its
+// cfg key, which needs nothing but the input fingerprint, and the graph
+// materializes when a stage first needs it (CFG). With the store off, and
+// over a daemon's shared store, NewProject builds the graph itself: a
+// daemon reports a full repeat as three memory hits (CFG, trace, image),
+// and the fleet benchmark checks that count. Either way an image without a
+// .text section, the one input disassembly rejects, fails here.
 func NewProject(img *image.Image, opts Options) (*Project, error) {
 	p := newProjectShell(img, opts)
-	sp := opts.Obs.Begin(p.obsTID(), "pipeline", "disasm")
+	p.graphKey, p.graphKeyOK = p.cfgKey()
+	if !p.graphKeyOK || p.store.Shared() {
+		if _, err := p.materialize(); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	if img.Text() == nil {
+		return nil, disasm.ErrNoText
+	}
+	return p, nil
+}
+
+// CFG returns the project's graph, materializing it on first use. A live
+// trace, a module build and an additive merge need the graph; a replayed
+// trace session or image does not.
+func (p *Project) CFG() (*cfg.Graph, error) {
+	if _, err := p.materialize(); err != nil {
+		return nil, err
+	}
+	return p.Graph, nil
+}
+
+// materialize builds Graph unless it is built: it replays the cfg artifact,
+// or disassembles the image and stores the artifact, records the
+// pipeline/disasm span, and then merges the pending trace sessions
+// (applyPending). It returns the time it took, which it accounts itself:
+// the load as DisasmTime, the merges as TraceTime.
+func (p *Project) materialize() (time.Duration, error) {
+	if p.Graph != nil {
+		return 0, nil
+	}
 	t0 := time.Now()
+	sp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "disasm")
 	key, keyOK := p.cfgKey()
 	var g *cfg.Graph
 	fromTier := ""
@@ -289,16 +336,15 @@ func NewProject(img *image.Image, opts Options) (*Project, error) {
 	}
 	if g == nil {
 		var err error
-		g, err = disasm.Disassemble(img)
+		g, err = disasm.Disassemble(p.Img)
 		if err != nil {
 			sp.End()
-			return nil, err
+			return time.Since(t0), err
 		}
 		if keyOK {
 			p.storePut(nsCFG, key, g.EncodeBinary())
 		}
 	}
-	p.graphKey, p.graphKeyOK = key, keyOK
 	d := time.Since(t0)
 	sp = sp.Arg("funcs", len(g.Funcs)).Arg("blocks", g.NumBlocks())
 	if fromTier != "" {
@@ -311,7 +357,8 @@ func NewProject(img *image.Image, opts Options) (*Project, error) {
 		p.Stats.Funcs = len(g.Funcs)
 		p.Stats.Blocks = g.NumBlocks()
 	})
-	return p, nil
+	err := p.applyPending(key)
+	return time.Since(t0), err
 }
 
 // NewProjectWithGraph prepares a project over an externally supplied CFG
@@ -381,40 +428,47 @@ func (p *Project) tracerRuns(inputs []Input) []tracer.Run {
 // the runs' identity (runsKey). On a store hit the pairs are re-applied to
 // the graph — same merge, no execution — and the stored counts and guest
 // entries are reported, so a replayed session is indistinguishable from a
-// live one. Only sessions that completed without error are persisted, fold
-// their pairs into the derivation key, and leave their guest entries for
-// PruneCallbacks; a failed one turns graph-derived keys off (stages.go).
+// live one. Before the graph materializes, a hit only folds the pairs into
+// the derivation key and leaves the session pending until it does
+// (applyPending). Only sessions that completed without error are
+// persisted, fold their pairs into the derivation key, and leave their
+// guest entries for PruneCallbacks; a failed one turns graph-derived keys
+// off (stages.go).
 func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 	runs := p.tracerRuns(inputs)
 	runsKey := p.runsKey(runs)
-	// The key names the graph the session starts from, so it must be
-	// computed before any merging mutates it.
-	traceKey, keyOK := p.traceKey(runsKey)
 	sp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "icft-trace",
 		obs.Arg{Key: "runs", Val: len(runs)})
 	t0 := time.Now()
+	// The key names the graph the session starts from, so it must be
+	// computed before any merging mutates it.
+	key, keyOK := p.traceKey(runsKey)
+	stored, replayed := p.replayTrace(key, keyOK)
 	var res *tracer.Result
 	var err error
-	replayed := ""
-	if keyOK {
-		if data, tier, ok := p.storeGet(nsTrace, traceKey); ok {
-			// A stored pair that no longer applies sends the session live,
-			// which re-merges idempotently.
-			if stored, sok := decodeTraceArtifact(data); sok && p.mergePairs(stored.Merged) == nil {
-				res, replayed = stored, tier
+	var graphTime time.Duration // materializing the graph, accounted there
+	if stored != nil && p.Graph == nil {
+		p.pending = append(p.pending, pendingTrace{runs: runs, runsKey: runsKey, key: key, res: stored})
+		p.foldGraphKey(stored.Merged)
+		res = stored
+	} else {
+		if p.Graph == nil {
+			graphTime, err = p.materialize()
+			// A pending session that fell back re-keyed the graph: probe
+			// where a project that materialized first would.
+			if k, ok := p.traceKey(runsKey); err == nil && (k != key || ok != keyOK) {
+				key, keyOK = k, ok
+				stored, replayed = p.replayTrace(key, keyOK)
 			}
 		}
-	}
-	if res == nil {
-		res, err = tracer.TraceObs(p.Img, p.Graph, runs, p.Opts.Fuel, p.Opts.Obs, p.obsTID(), p.ctxDone())
 		if err == nil {
-			if keyOK {
-				p.storePut(nsTrace, traceKey, encodeTraceArtifact(res))
-			}
-			p.foldGraphKey(res.Merged)
+			res, err = p.runSession(runs, key, keyOK, stored)
+		}
+		if res != stored {
+			replayed = ""
 		}
 	}
-	d := time.Since(t0)
+	d := time.Since(t0) - graphTime
 	if res != nil {
 		sp.Arg("icfts", res.ICFTs).Arg("new_targets", res.NewTargets)
 	}
@@ -432,15 +486,109 @@ func (p *Project) Trace(inputs []Input) (*tracer.Result, error) {
 		}
 	})
 	if err != nil {
-		// The session may have merged pairs its result does not list.
-		p.graphKeyOK = false
-		if cerr := p.ctxErr(); cerr != nil {
-			return nil, fmt.Errorf("core: trace cancelled: %w", cerr)
-		}
 		return nil, err
 	}
 	p.traced, p.tracedRuns = res, runsKey
 	return res, nil
+}
+
+// pendingTrace is a trace session replayed before the graph materialized:
+// its runs, the trace key it was replayed under, and the stored result.
+type pendingTrace struct {
+	runs    []tracer.Run
+	runsKey store.Key
+	key     store.Key
+	res     *tracer.Result
+}
+
+// replayTrace probes the store for a trace session under key; nil on a
+// miss, without a key, or when the payload does not decode.
+func (p *Project) replayTrace(key store.Key, keyOK bool) (*tracer.Result, string) {
+	if !keyOK {
+		return nil, ""
+	}
+	data, tier, ok := p.storeGet(nsTrace, key)
+	if !ok {
+		return nil, ""
+	}
+	res, ok := decodeTraceArtifact(data)
+	if !ok {
+		return nil, ""
+	}
+	return res, tier
+}
+
+// runSession merges a stored session's pairs into the graph, or runs the
+// session live when there is none or one of its pairs no longer applies
+// (the live run re-merges idempotently) and stores it under key. A live
+// session that fails may have merged pairs its result does not list, so
+// graph-derived keys turn off.
+func (p *Project) runSession(runs []tracer.Run, key store.Key, keyOK bool, stored *tracer.Result) (*tracer.Result, error) {
+	if stored != nil && p.mergePairs(stored.Merged) == nil {
+		return stored, nil
+	}
+	res, err := tracer.TraceObs(p.Img, p.Graph, runs, p.Opts.Fuel, p.Opts.Obs, p.obsTID(), p.ctxDone())
+	if err != nil {
+		p.graphKeyOK = false
+		if cerr := p.ctxErr(); cerr != nil {
+			err = fmt.Errorf("core: trace cancelled: %w", cerr)
+		}
+		return res, err
+	}
+	if keyOK {
+		p.storePut(nsTrace, key, encodeTraceArtifact(res))
+	}
+	p.foldGraphKey(res.Merged)
+	return res, nil
+}
+
+// applyPending merges the pending sessions into the just-loaded graph in
+// call order, as Trace would have with the graph there: the derivation key
+// rewinds to base, the cfg key, and each session folds again as it merges.
+// A session still under the trace key it was replayed under merges its
+// stored pairs; one re-keyed by an earlier session's fallback probes the
+// store again. A session whose pairs do not apply runs live on its runs,
+// as in Trace. Its result then replaces the stored one as the project's
+// last session and as the source of a callback set PruneCallbacks took from
+// it, and its counts are added to Stats; what Trace returned stays the
+// stored result. A live run that fails ends the merging with its error.
+func (p *Project) applyPending(base store.Key) error {
+	pending := p.pending
+	if len(pending) == 0 {
+		return nil
+	}
+	p.pending = nil
+	p.graphKey = base
+	for _, s := range pending {
+		t0 := time.Now()
+		key, keyOK := p.traceKey(s.runsKey)
+		stored := s.res
+		if !keyOK || key != s.key {
+			stored, _ = p.replayTrace(key, keyOK)
+		}
+		res, err := p.runSession(s.runs, key, keyOK, stored)
+		d := time.Since(t0)
+		p.Stats.update(func() {
+			p.Stats.TraceTime += d
+			if res != nil && res != stored {
+				p.Stats.ICFTs += res.ICFTs
+				p.Stats.TraceInsts += res.Insts
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if res == s.res {
+			continue
+		}
+		if p.traced == s.res {
+			p.traced = res
+		}
+		if p.callbackSrc == s.res {
+			p.callbackSet, p.callbackSrc = callbackSetOf(res.Entries), res
+		}
+	}
+	return nil
 }
 
 // mergePairs merges (site, target) pairs into the graph in order — the step
@@ -561,6 +709,10 @@ func (p *Project) RunAdditive(in Input, maxLoops int) (*AdditiveResult, error) {
 		for i, ms := range misses {
 			pairs[i] = tracer.SiteTarget(ms)
 		}
+		if _, err := p.CFG(); err != nil {
+			lsp.End()
+			return nil, fmt.Errorf("core: loop %d: %w", loop, err)
+		}
 		if err := p.mergePairs(pairs); err != nil {
 			lsp.End()
 			return nil, fmt.Errorf("core: loop %d: %w", loop, err)
@@ -633,9 +785,10 @@ func (p *Project) PruneCallbacks(inputs []Input) error {
 	sp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "prune-callbacks")
 	defer sp.End()
 	res := &tracer.Result{}
+	var src *tracer.Result
 	var err error
 	if p.traced != nil && p.tracedRuns == p.runsKey(runs) {
-		res.Entries = p.traced.Entries
+		res.Entries, src = p.traced.Entries, p.traced
 	} else if res, err = tracer.Entries(p.Img, runs, p.Opts.Fuel, p.ctxDone()); err != nil {
 		var f *vm.Fault
 		if !errors.As(err, &f) {
@@ -647,11 +800,17 @@ func (p *Project) PruneCallbacks(inputs []Input) error {
 		return fmt.Errorf("core: callback analysis run faulted: %w", f)
 	}
 	sp.Arg("runs", res.Runs).Arg("entries", len(res.Entries))
-	p.callbackSet = make(map[uint64]bool, len(res.Entries))
-	for _, fn := range res.Entries {
-		p.callbackSet[fn] = true
-	}
+	p.callbackSet, p.callbackSrc = callbackSetOf(res.Entries), src
 	return nil
+}
+
+// callbackSetOf is the callback set of the observed guest entries.
+func callbackSetOf(entries []uint64) map[uint64]bool {
+	set := make(map[uint64]bool, len(entries))
+	for _, fn := range entries {
+		set[fn] = true
+	}
+	return set
 }
 
 // FenceOptimize runs the spinloop-detection pipeline (§3.4): build the
@@ -736,6 +895,11 @@ func (p *Project) ForceFenceRemoval() { p.removeFences = true }
 // but without optimization, so nothing is inlined, and returns the lifted
 // handle and its module (diagnostics).
 func (p *Project) LiftForDebug() (*lifter.Lifted, *ir.Module, error) {
+	// The state is read after the graph materializes, which can re-derive
+	// the callback set (applyPending).
+	if _, err := p.CFG(); err != nil {
+		return nil, nil, err
+	}
 	st := p.buildState()
 	st.optimize = false
 	lf, err := p.buildModule(st)

@@ -64,8 +64,9 @@ func (p *Project) pipeWorkers() int {
 // The final lowered image is itself an artifact, keyed by the input image
 // bytes, the merged graph's derivation key, the option bits, and the
 // dynamic-analysis state (stages.go). A store hit short-circuits the whole
-// pipeline — no generation is opened, so the memory tier's function bodies
-// stay live for the next recompile that does run.
+// pipeline — the graph need not materialize, and no generation is opened,
+// so the memory tier's function bodies stay live for the next recompile
+// that does run.
 func (p *Project) Recompile() (*image.Image, error) {
 	if err := p.ctxErr(); err != nil {
 		return nil, fmt.Errorf("core: recompile cancelled: %w", err)
@@ -76,11 +77,23 @@ func (p *Project) Recompile() (*image.Image, error) {
 	}
 	rsp := p.Opts.Obs.Begin(p.obsTID(), "pipeline", "recompile")
 	imgKey, imgKeyOK := p.imageKey()
-	if imgKeyOK {
-		if img, tier, ok := p.replayImage(imgKey); ok {
-			rsp.Arg("code_size", p.Stats.CodeSize).Arg("tier", tier).End()
-			return img, nil
+	img, tier, ok := p.replayImage(imgKey, imgKeyOK)
+	if !ok && p.Graph == nil {
+		if _, err := p.CFG(); err != nil {
+			rsp.End()
+			return nil, err
 		}
+		// A pending session that fell back re-keyed the graph and may have
+		// re-derived the callback set: probe where a project that
+		// materialized first would, and file the build there.
+		if k, kok := p.imageKey(); k != imgKey || kok != imgKeyOK {
+			imgKey, imgKeyOK = k, kok
+			img, tier, ok = p.replayImage(imgKey, imgKeyOK)
+		}
+	}
+	if ok {
+		rsp.Arg("code_size", p.Stats.CodeSize).Arg("tier", tier).End()
+		return img, nil
 	}
 	st := p.buildState()
 	lf, err := p.buildModule(st)
@@ -104,6 +117,8 @@ func (p *Project) Recompile() (*image.Image, error) {
 		p.Stats.update(func() { p.Stats.LowerTime += d })
 		return nil, err
 	}
+	stats := imageStats{codeSize: res.CodeSize, numExternal: numExternal, fences: res.Fences,
+		fencesGone: st.removeFences}
 	p.Stats.update(func() {
 		p.Stats.LowerTime += d
 		p.Stats.CodeSize = res.CodeSize
@@ -111,32 +126,42 @@ func (p *Project) Recompile() (*image.Image, error) {
 		p.Stats.NumExternal = numExternal
 		p.Stats.FencesGone = st.removeFences
 		p.Stats.Recompiles++
+		stats.funcs, stats.blocks = p.Stats.Funcs, p.Stats.Blocks
 	})
 	if imgKeyOK {
-		p.storePut(nsImage, imgKey, encodeImageArtifact(res.Img, res.CodeSize, numExternal, res.Fences, st.removeFences))
+		p.storePut(nsImage, imgKey, stats.encode(res.Img))
 	}
 	rsp.Arg("code_size", res.CodeSize).End()
 	return res.Img, nil
 }
 
-// replayImage probes the store for the final lowered image and, on a hit,
-// restores the scalar stats a full pipeline run would have produced so cold
-// and replayed recompiles report identically.
-func (p *Project) replayImage(key store.Key) (*image.Image, string, bool) {
+// replayImage probes the store for the final lowered image under key and,
+// on a hit, restores the scalar stats a full pipeline run would have
+// produced so cold and replayed recompiles report identically. The graph's
+// function and block counts are restored only while the graph has not
+// materialized; once it has, Stats already holds its own.
+func (p *Project) replayImage(key store.Key, keyOK bool) (*image.Image, string, bool) {
+	if !keyOK {
+		return nil, "", false
+	}
 	data, tier, ok := p.storeGet(nsImage, key)
 	if !ok {
 		return nil, "", false
 	}
-	img, codeSize, numExternal, fences, fencesGone, ok := decodeImageArtifact(data)
+	img, st, ok := decodeImage(data)
 	if !ok {
 		return nil, "", false
 	}
+	lazy := p.Graph == nil
 	p.Stats.update(func() {
-		p.Stats.CodeSize = codeSize
-		p.Stats.NumExternal = numExternal
-		p.Stats.Fences = fences
-		p.Stats.FencesGone = fencesGone
+		p.Stats.CodeSize = st.codeSize
+		p.Stats.NumExternal = st.numExternal
+		p.Stats.Fences = st.fences
+		p.Stats.FencesGone = st.fencesGone
 		p.Stats.Recompiles++
+		if lazy {
+			p.Stats.Funcs, p.Stats.Blocks = st.funcs, st.blocks
+		}
 	})
 	return img, tier, true
 }
@@ -175,7 +200,12 @@ func (s buildState) noCallbacks(entry uint64) bool {
 // Each worker task applies the dynamic results to its own function right
 // after lifting it: a function outside the callback set (never the program
 // entry) loses its external wrapper, and fence removal drops its fences.
+// The graph materializes first, before any worker reads it.
 func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
+	g, err := p.CFG()
+	if err != nil {
+		return nil, err
+	}
 	wall0 := time.Now()
 	defer func() {
 		d := time.Since(wall0)
@@ -184,8 +214,8 @@ func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 
 	tr := p.Opts.Obs
 	ssp := tr.Begin(p.obsTID(), "pipeline", "skeleton")
-	lf := lifter.NewSkeleton(p.Img, p.Graph)
-	funcs := lifter.SortedFuncs(p.Graph)
+	lf := lifter.NewSkeleton(p.Img, g)
+	funcs := lifter.SortedFuncs(g)
 	ssp.Arg("funcs", len(funcs)).End()
 	lopts := lifter.Options{InsertFences: true, NaiveAtomics: p.Opts.NaiveAtomics}
 	oo := opt.Options{Verify: p.Opts.VerifyIR, NoCallbacks: st.noCallbacks(p.Img.Entry)}
@@ -226,7 +256,7 @@ func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 		fsp := tr.Begin(p.obsTID(), "pipeline", "fingerprint")
 		keys = make([]store.Key, len(funcs))
 		for i, cf := range funcs {
-			fk, ok := p.funcKey(fingerprintFunc(p.Img, p.Graph, cf, isFunc, ko))
+			fk, ok := p.funcKey(fingerprintFunc(p.Img, g, cf, isFunc, ko))
 			if !ok {
 				cacheable = false
 				break
@@ -336,7 +366,7 @@ func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 	// Whole-module verification catches cross-function damage no matter
 	// which path — fresh lift, cache replay, or inline — produced a body.
 	vsp := tr.Begin(p.obsTID(), "pipeline", "verify")
-	err := ir.Verify(lf.Mod)
+	err = ir.Verify(lf.Mod)
 	vsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: module verification failed: %w", err)

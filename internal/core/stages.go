@@ -25,7 +25,8 @@
 //	image  the final lowered image       key: image, merged graph's
 //	                                          derivation key, option bits,
 //	                                          target id, callback set
-//	                                     payload: stats +
+//	                                     payload: stats (the graph's
+//	                                          funcs and blocks included) +
 //	                                          image.Image.EncodeBinary
 //
 // "image" in a key is the input fingerprint (imageFP): a hash of the input
@@ -58,6 +59,21 @@
 // Equal keys name equal graphs because merging is deterministic:
 // BlockContaining answers the same block for a site on every call, and the
 // replay-identity and determinism tests pin the rest.
+//
+// Because the cfg key needs only the input fingerprint, the graph itself
+// materializes on first use (Project.CFG): over a private store,
+// NewProject reads nothing, and a replayed trace session folds its stored
+// pairs into the key and stays pending. A stage that needs the graph — a live trace,
+// a module build, an additive merge — replays the cfg artifact or
+// disassembles, then merges the pending sessions in order, so a job whose
+// trace and image artifacts hit never reads or decodes the cfg. A pending
+// session whose pairs do not apply takes Trace's fallback at that point:
+// the earlier pairs stay merged, the key restarts from contentKey, the
+// session runs live on its runs and re-stores its artifact, and later
+// pending sessions are re-keyed from there. So after the same calls a
+// lazy project holds the same derivation key, image key and callback set
+// as one that materialized in NewProject. Only the result the replaying
+// Trace call already returned stays the stored one.
 package core
 
 import (
@@ -84,7 +100,7 @@ var (
 	schemaCFG   = []byte("cfg/3")   // v3: binary input fingerprint
 	schemaTrace = []byte("trace/4") // v4: binary input fingerprint
 	schemaFunc  = []byte("func/3")  // v3: binary input fingerprint
-	schemaImage = []byte("image/4") // v4: binary payload and input fingerprint
+	schemaImage = []byte("image/5") // v5: the graph's funcs and blocks in the stats
 )
 
 // Tags of the input fingerprint and of the two derivation-key forms that
@@ -317,17 +333,26 @@ func decodeTraceArtifact(data []byte) (*tracer.Result, bool) {
 	return res, len(data) == 0
 }
 
-// encodeImageArtifact serializes the scalar stats a replayed Recompile must
-// restore (code size, external-entry count, emitted-fence count, fence
-// state), so cold and replayed runs report identically, followed by the
-// final lowered image's binary form.
-func encodeImageArtifact(img *image.Image, codeSize, numExternal, fences int, fencesGone bool) []byte {
+// imageStats is an image artifact's stats header: the scalar Stats a
+// replayed Recompile restores, so cold and replayed runs report
+// identically. funcs and blocks are the graph's counts, which a replay
+// that never materializes the graph has from nowhere else.
+type imageStats struct {
+	codeSize, numExternal, fences, funcs, blocks int
+	fencesGone                                   bool
+}
+
+// imageStatsLen is the encoded header's length: five counts and a flag.
+const imageStatsLen = 5*8 + 1
+
+// encode serializes st followed by the final lowered image's binary form.
+func (st imageStats) encode(img *image.Image) []byte {
 	data := img.EncodeBinary()
-	buf := make([]byte, 0, 25+len(data))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(codeSize))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(numExternal))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(fences))
-	if fencesGone {
+	buf := make([]byte, 0, imageStatsLen+len(data))
+	for _, n := range []int{st.codeSize, st.numExternal, st.fences, st.funcs, st.blocks} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	}
+	if st.fencesGone {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
@@ -335,18 +360,17 @@ func encodeImageArtifact(img *image.Image, codeSize, numExternal, fences int, fe
 	return append(buf, data...)
 }
 
-// decodeImageArtifact parses encodeImageArtifact's form; !ok on any
-// mismatch (the caller rebuilds the image through the full pipeline).
-func decodeImageArtifact(data []byte) (img *image.Image, codeSize, numExternal, fences int, fencesGone, ok bool) {
-	if len(data) < 25 {
-		return nil, 0, 0, 0, false, false
+// decodeImage parses imageStats.encode's form; !ok on any mismatch (the
+// caller rebuilds the image through the full pipeline).
+func decodeImage(data []byte) (*image.Image, imageStats, bool) {
+	if len(data) < imageStatsLen {
+		return nil, imageStats{}, false
 	}
-	img, err := image.DecodeBinary(data[25:])
+	img, err := image.DecodeBinary(data[imageStatsLen:])
 	if err != nil {
-		return nil, 0, 0, 0, false, false
+		return nil, imageStats{}, false
 	}
-	codeSize = int(binary.LittleEndian.Uint64(data))
-	numExternal = int(binary.LittleEndian.Uint64(data[8:]))
-	fences = int(binary.LittleEndian.Uint64(data[16:]))
-	return img, codeSize, numExternal, fences, data[24] != 0, true
+	n := func(i int) int { return int(binary.LittleEndian.Uint64(data[8*i:])) }
+	return img, imageStats{codeSize: n(0), numExternal: n(1), fences: n(2), funcs: n(3), blocks: n(4),
+		fencesGone: data[imageStatsLen-1] != 0}, true
 }

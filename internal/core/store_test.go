@@ -10,13 +10,17 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/disasm"
 	"repro/internal/store"
 	"repro/internal/workloads"
 )
@@ -233,6 +237,29 @@ func TestStoreCorruptionDegradesToMiss(t *testing.T) {
 	}
 }
 
+// TestNewProjectRejectsImageWithoutText: a missing .text section, the one
+// input disassembly rejects, fails NewProject with the store off, over a
+// private store (where the graph is not built until a stage needs it), and
+// over a daemon's shared store.
+func TestNewProjectRejectsImageWithoutText(t *testing.T) {
+	img := compile(t, threadedSrc, 2)
+	img.Text().Name = ".code"
+	for _, tc := range []struct {
+		name string
+		set  func(*core.Options)
+	}{
+		{"off", func(o *core.Options) { o.NoFuncCache = true }},
+		{"private", func(o *core.Options) { o.Store = store.NewMemory() }},
+		{"shared", func(o *core.Options) { o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil) }},
+	} {
+		o := options()
+		tc.set(&o)
+		if _, err := core.NewProject(img, o); !errors.Is(err, disasm.ErrNoText) {
+			t.Errorf("store %s: NewProject error %v, want %v", tc.name, err, disasm.ErrNoText)
+		}
+	}
+}
+
 // replayStats are the Stats fields a replayed recompile must report exactly
 // as a live one does.
 type replayStats struct {
@@ -241,13 +268,30 @@ type replayStats struct {
 	FencesGone                                          bool
 }
 
+// countingStore counts a backing tier's Gets per namespace; the pipeline's
+// workers call it concurrently.
+type countingStore struct {
+	store.Store
+	mu   sync.Mutex
+	gets map[string]int
+}
+
+func (c *countingStore) Get(ns string, key store.Key) ([]byte, string, bool) {
+	c.mu.Lock()
+	c.gets[ns]++
+	c.mu.Unlock()
+	return c.Store.Get(ns, key)
+}
+
 // TestReplayIdentityAcrossCorpus runs every corpus (image, target) key,
 // traced on its primary input, three ways: store off, over a cold disk store,
 // and as a warm replay from that store in a fresh process (a new Disk handle
 // and project). All three must give identical image bytes and Stats, and the
 // store-off image must match its committed digest (digest_test.go). The
-// warm run replays the cfg, trace and image artifacts through derivation
-// keys, so this pins that equal keys name equal graphs across the corpus.
+// warm run replays the trace and image artifacts through derivation keys,
+// so this pins that equal keys name equal graphs across the corpus. It
+// never materializes the graph: its disk tier serves exactly one trace and
+// one image Get and no cfg Get, and it spends no time disassembling.
 func TestReplayIdentityAcrossCorpus(t *testing.T) {
 	digests := corpusDigests(t, "traced")
 	for _, w := range workloads.All() {
@@ -259,16 +303,17 @@ func TestReplayIdentityAcrossCorpus(t *testing.T) {
 			dir := t.TempDir()
 			for _, target := range []string{"mx64", "mx64w"} {
 				name := fmt.Sprintf("%s/O%d/%s", w.Name, lvl, target)
-				run := func(disk bool) (*core.Project, []byte, replayStats) {
+				run := func(disk bool) (*core.Project, []byte, replayStats, map[string]int) {
 					o := core.DefaultOptions()
 					o.Target = target
 					o.NoFuncCache = !disk
+					gets := map[string]int{}
 					if disk {
 						d, err := store.OpenDisk(dir)
 						if err != nil {
 							t.Fatal(err)
 						}
-						o.Store = d
+						o.Store = &countingStore{Store: d, gets: gets}
 					}
 					p, err := core.NewProject(img, o)
 					if err != nil {
@@ -283,12 +328,12 @@ func TestReplayIdentityAcrossCorpus(t *testing.T) {
 					}
 					s := &p.Stats
 					return p, marshalImg(t, rec), replayStats{s.Funcs, s.Blocks, s.CodeSize, s.Fences,
-						s.NumExternal, s.ICFTs, s.TraceInsts, s.FencesGone}
+						s.NumExternal, s.ICFTs, s.TraceInsts, s.FencesGone}, gets
 				}
-				_, want, wantStats := run(false)
+				_, want, wantStats, _ := run(false)
 				checkDigest(t, digests, name+"/traced", want)
-				cold, coldImg, coldStats := run(true)
-				warm, warmImg, warmStats := run(true)
+				cold, coldImg, coldStats, _ := run(true)
+				warm, warmImg, warmStats, warmGets := run(true)
 				if !bytes.Equal(coldImg, want) || coldStats != wantStats {
 					t.Errorf("%s: cold-store recompile diverged from store off: stats %+v, want %+v", name, coldStats, wantStats)
 				}
@@ -298,6 +343,10 @@ func TestReplayIdentityAcrossCorpus(t *testing.T) {
 				if cold.Stats.CacheMisses == 0 || warm.Stats.CacheHits+warm.Stats.CacheMisses != 0 || warm.Stats.StoreDiskMisses != 0 {
 					t.Errorf("%s: functions built cold %d, warm %d, warm disk misses %d; want some, 0, 0", name,
 						cold.Stats.CacheMisses, warm.Stats.CacheHits+warm.Stats.CacheMisses, warm.Stats.StoreDiskMisses)
+				}
+				if wantGets := map[string]int{"trace": 1, "image": 1}; !reflect.DeepEqual(warmGets, wantGets) || warm.Stats.DisasmTime != 0 {
+					t.Errorf("%s: warm replay made disk Gets %v and spent %v disassembling; want %v and none",
+						name, warmGets, warm.Stats.DisasmTime, wantGets)
 				}
 			}
 		}

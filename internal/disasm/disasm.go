@@ -16,6 +16,7 @@ package disasm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -27,11 +28,14 @@ import (
 // maxJumpTable bounds the table-scan heuristic.
 const maxJumpTable = 1024
 
+// ErrNoText is Disassemble's only error: the image has no .text section.
+var ErrNoText = errors.New("disasm: image has no text section")
+
 // Disassemble recovers the static CFG of img.
 func Disassemble(img *image.Image) (*cfg.Graph, error) {
 	text := img.Text()
 	if text == nil {
-		return nil, fmt.Errorf("disasm: image has no text section")
+		return nil, ErrNoText
 	}
 	d := &state{
 		img:     img,
@@ -68,7 +72,7 @@ func Disassemble(img *image.Image) (*cfg.Graph, error) {
 func ExploreFrom(img *image.Image, g *cfg.Graph, fromBlock, target uint64) error {
 	text := img.Text()
 	if text == nil {
-		return fmt.Errorf("disasm: image has no text section")
+		return ErrNoText
 	}
 	owner := g.FuncOf(fromBlock)
 	if owner == nil {
@@ -449,7 +453,7 @@ func DecodeBlock(img *image.Image, b *cfg.Block) ([]mx.Inst, []uint64, error) {
 func AddTracedBlock(img *image.Image, g *cfg.Graph, f *cfg.Func, pc uint64) error {
 	text := img.Text()
 	if text == nil {
-		return fmt.Errorf("disasm: image has no text section")
+		return ErrNoText
 	}
 	d := &state{img: img, text: text, g: g, inTable: map[uint64]bool{}}
 	if _, ok := g.Blocks[pc]; ok {

@@ -325,6 +325,35 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsImageWithoutText posts an image whose code section is not
+// named .text, the one input disassembly rejects. With the daemon's store
+// on, the project does not disassemble until a stage needs the graph, so
+// NewProject checks for the section itself: both a plain recompile and a
+// traced one must answer 422, not a 500 from a later stage.
+func TestServeRejectsImageWithoutText(t *testing.T) {
+	_, srv := newServer(t, serve.Config{})
+	img, _, err := cc.Compile(threadedSrc, cc.Config{Name: "t", Opt: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Text().Name = ".code"
+	body, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/recompile", "/v1/recompile?trace=1"} {
+		resp, err := http.Post(srv.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d (%s), want 422", path, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+	}
+}
+
 func mustGet(t *testing.T, url string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
