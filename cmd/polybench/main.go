@@ -122,30 +122,14 @@ func main() {
 	h.SetNoFuncCache(*nopipecache)
 	h.SetTracer(tracer)
 	h.SetTarget(*target)
-	var tiers []store.Store
-	if *storeDir != "" {
-		d, err := store.OpenDisk(*storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "store: %v\n", err)
-			os.Exit(1)
-		}
-		if *storeMaxMB > 0 {
-			d.SetMaxBytes(*storeMaxMB << 20)
-		}
-		tiers = append(tiers, d)
+	backing, err := store.OpenBacking(*storeDir, *storeMaxMB, *remoteStore, store.RemoteOptions{
+		AuthToken:   *remoteToken,
+		Traceparent: rootTC.Traceparent(),
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *remoteStore != "" {
-		r, err := store.NewRemote(*remoteStore, store.RemoteOptions{
-			AuthToken:   *remoteToken,
-			Traceparent: rootTC.Traceparent(),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "remote-store: %v\n", err)
-			os.Exit(1)
-		}
-		tiers = append(tiers, r)
-	}
-	backing := store.NewChain(tiers...)
 	if backing != nil {
 		h.SetStore(backing)
 	}

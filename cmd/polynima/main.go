@@ -110,24 +110,12 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Target = *target
-	var tiers []store.Store
-	if *storeDir != "" {
-		d, err := store.OpenDisk(*storeDir)
-		check(err)
-		if *storeMaxMB > 0 {
-			d.SetMaxBytes(*storeMaxMB << 20)
-		}
-		tiers = append(tiers, d)
-	}
-	if *remoteStore != "" {
-		r, err := store.NewRemote(*remoteStore, store.RemoteOptions{
-			AuthToken:   *remoteToken,
-			Traceparent: rootTC.Traceparent(),
-		})
-		check(err)
-		tiers = append(tiers, r)
-	}
-	opts.Store = store.NewChain(tiers...)
+	backing, err := store.OpenBacking(*storeDir, *storeMaxMB, *remoteStore, store.RemoteOptions{
+		AuthToken:   *remoteToken,
+		Traceparent: rootTC.Traceparent(),
+	})
+	check(err)
+	opts.Store = backing
 
 	data, err := os.ReadFile(imgPath)
 	check(err)

@@ -101,23 +101,11 @@ func main() {
 		tracer.SetTraceContext(rootTC)
 	}
 
-	var tiers []store.Store
-	if *storeDir != "" {
-		d, err := store.OpenDisk(*storeDir)
-		check(err)
-		if *storeMaxMB > 0 {
-			d.SetMaxBytes(*storeMaxMB << 20)
-		}
-		tiers = append(tiers, d)
-	}
-	if *remoteStore != "" {
-		r, err := store.NewRemote(*remoteStore, store.RemoteOptions{
-			AuthToken:   *remoteToken,
-			Traceparent: rootTC.Traceparent(),
-		})
-		check(err)
-		tiers = append(tiers, r)
-	}
+	backing, err := store.OpenBacking(*storeDir, *storeMaxMB, *remoteStore, store.RemoteOptions{
+		AuthToken:   *remoteToken,
+		Traceparent: rootTC.Traceparent(),
+	})
+	check(err)
 
 	opts := core.DefaultOptions()
 	opts.Workers = *jpipe
@@ -127,7 +115,7 @@ func main() {
 	opts.Target = *target
 	s := serve.New(serve.Config{
 		Opts:             opts,
-		Backing:          store.NewChain(tiers...),
+		Backing:          backing,
 		Tracer:           tracer,
 		AuthToken:        *authToken,
 		MaxInflightJobs:  *maxInflight,

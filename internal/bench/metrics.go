@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -62,47 +60,24 @@ func BuildMetrics(s StageSnapshot, st map[string]store.Counters, c *vm.Counters,
 	hits.Set(float64(s.StoreDiskHits), obs.Label{Key: "tier", Val: "disk"})
 	misses.Set(float64(s.StoreMemMisses), obs.Label{Key: "tier", Val: "mem"})
 	misses.Set(float64(s.StoreDiskMisses), obs.Label{Key: "tier", Val: "disk"})
-	ms.Counter("pipeline_store_evictions_total",
-		"Memory-tier artifact entries pruned generationally.").
-		Set(float64(s.StoreEvictions))
 
+	var tiers string
 	if st != nil {
 		// The backing store's own view: unlike the pipeline_store_* counters
 		// above it includes corruption rejects and swallowed I/O errors, which
 		// the pipeline only ever sees as misses.
-		tiers := make([]string, 0, len(st))
-		for tier := range st {
-			tiers = append(tiers, tier)
-		}
-		sort.Strings(tiers)
-		ops := ms.Counter("store_tier_ops_total",
-			"Backing artifact-store operations by tier and outcome; corrupt entries are deleted and recounted as misses, errors are swallowed writes.")
-		for _, tier := range tiers {
-			c := st[tier]
-			l := obs.Label{Key: "tier", Val: tier}
-			ops.Set(float64(c.Hits), l, obs.Label{Key: "op", Val: "hit"})
-			ops.Set(float64(c.Misses), l, obs.Label{Key: "op", Val: "miss"})
-			ops.Set(float64(c.Evictions), l, obs.Label{Key: "op", Val: "eviction"})
-			ops.Set(float64(c.Corrupt), l, obs.Label{Key: "op", Val: "corrupt"})
-			ops.Set(float64(c.Errors), l, obs.Label{Key: "op", Val: "error"})
-			ops.Set(float64(c.Retries), l, obs.Label{Key: "op", Val: "retry"})
-			ops.Set(float64(c.Throttled), l, obs.Label{Key: "op", Val: "throttled"})
-		}
+		tiers = store.ExportTierOps(ms.Counter("store_tier_ops_total",
+			"Backing artifact-store operations by tier and outcome; corrupt entries are deleted and recounted as misses, errors are swallowed writes."), st)
 	}
 
 	// Build/runtime info, the same family polynimad exports, so one fleet
 	// dashboard can tell which toolchain and configuration produced every
 	// scrape regardless of whether it came from a daemon or a bench run.
-	tiers := make([]string, 0, len(st))
-	for tier := range st {
-		tiers = append(tiers, tier)
-	}
-	sort.Strings(tiers)
 	ms.Gauge("polynima_build_info",
 		"Build/runtime info: constant 1 with the go version and store tiers in labels.").
 		Set(1,
 			obs.Label{Key: "go_version", Val: runtime.Version()},
-			obs.Label{Key: "store_tiers", Val: strings.Join(tiers, ",")})
+			obs.Label{Key: "store_tiers", Val: tiers})
 
 	if c == nil {
 		return ms

@@ -35,7 +35,6 @@ type StageSnapshot struct {
 	// artifacts persisted from an earlier run (or cell) were replayed.
 	StoreMemHits, StoreMemMisses   int
 	StoreDiskHits, StoreDiskMisses int
-	StoreEvictions                 int    // memory-tier entries pruned generationally
 	TraceInsts                     uint64 // guest instructions executed by the ICFT tracer
 	// Fences sums the fence instructions lowering emitted across every
 	// recompile (zero on the default TSO target, where the machine provides
@@ -62,7 +61,6 @@ func (st *StageStats) absorb(p *core.Project) {
 	st.s.StoreMemMisses += p.Stats.StoreMemMisses
 	st.s.StoreDiskHits += p.Stats.StoreDiskHits
 	st.s.StoreDiskMisses += p.Stats.StoreDiskMisses
-	st.s.StoreEvictions += p.Stats.StoreEvictions
 	st.s.TraceInsts += p.Stats.TraceInsts
 	st.s.Fences += p.Stats.Fences
 }
@@ -118,7 +116,6 @@ func (s *StageSnapshot) Add(o StageSnapshot) {
 	s.StoreMemMisses += o.StoreMemMisses
 	s.StoreDiskHits += o.StoreDiskHits
 	s.StoreDiskMisses += o.StoreDiskMisses
-	s.StoreEvictions += o.StoreEvictions
 	s.TraceInsts += o.TraceInsts
 	s.Fences += o.Fences
 	s.Cells += o.Cells
@@ -161,8 +158,8 @@ func (s StageSnapshot) Footer(name, target string, cellWorkers, pipeWorkers int)
 		roundDur(s.Opt), roundDur(s.Lower), roundDur(s.PipelineTotal()))
 	fmt.Fprintf(&sb, "lift+opt wall %s | func cache hits %d, misses %d\n",
 		roundDur(s.LiftOptWall), s.CacheHits, s.CacheMisses)
-	fmt.Fprintf(&sb, "store mem hits %d, misses %d | disk hits %d, misses %d | evictions %d\n",
-		s.StoreMemHits, s.StoreMemMisses, s.StoreDiskHits, s.StoreDiskMisses, s.StoreEvictions)
+	fmt.Fprintf(&sb, "store mem hits %d, misses %d | disk hits %d, misses %d\n",
+		s.StoreMemHits, s.StoreMemMisses, s.StoreDiskHits, s.StoreDiskMisses)
 	fmt.Fprintf(&sb, "guest instructions traced %d\n", s.TraceInsts)
 	fmt.Fprintf(&sb, "wall %s\n", roundDur(s.Wall))
 	return sb.String()

@@ -26,10 +26,10 @@ import (
 // other body by decoding it into the fresh module skeleton.
 //
 // Invalidation is implicit: a changed function hashes to a new key, so its
-// stale entry simply stops being referenced. The memory tier's generational
-// pruning (store.Memory) evicts entries that went unused for a full
-// recompile generation, bounding it to roughly one body per live function;
-// a disk tier keeps everything and serves across processes.
+// stale entry simply stops being referenced. The memory tier keeps every
+// body for the life of its project (an additive session of 16 recompiles
+// holds a few hundred KB); a disk tier keeps everything, subject to its
+// size limit, and serves across processes.
 
 // replayFunc decodes the stored body for key into the skeleton function for
 // entry, resolving name references against lf's module. It reports the

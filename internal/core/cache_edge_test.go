@@ -1,13 +1,12 @@
 package core
 
-// Internal edge-case tests for the store-backed artifacts: generational
-// pruning keeps the memory tier bounded to the live bodies across an additive
-// session, a stored body whose symbol references no longer resolve in a
-// fresh module degrades to a counted miss that the recompile then repairs,
-// a stored CFG that names a block it does not hold is re-disassembled, a
-// stored image that breaks the section rules is rebuilt, and under planted
-// trace artifacts a project whose graph materializes on first use keeps the
-// keys and callback set of one that builds its graph up front.
+// Internal edge-case tests for the store-backed artifacts: a stored body
+// whose symbol references no longer resolve in a fresh module degrades to a
+// counted miss that the recompile then repairs, a stored CFG that names a
+// block it does not hold is re-disassembled, a stored image that breaks the
+// section rules is rebuilt, and under planted trace artifacts a project
+// whose graph materializes on first use keeps the keys and callback set of
+// one that builds its graph up front.
 
 import (
 	"bytes"
@@ -59,28 +58,6 @@ func edgeProject(t *testing.T) *Project {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestStorePruningBoundsMemoryTier drives the additive session, whose every
-// discovery changes one function's fingerprint and strands its old body. The
-// generational bracket around each recompile must evict a stranded entry the
-// first generation it goes unused, so the function namespace ends holding
-// exactly one body per live function — not one per (function, graph version).
-func TestStorePruningBoundsMemoryTier(t *testing.T) {
-	p := edgeProject(t)
-	res, err := p.RunAdditive(Input{Data: []byte("012"), Seed: 3}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recompiles < 3 {
-		t.Fatalf("recompiles = %d, want >= 3", res.Recompiles)
-	}
-	if p.Stats.StoreEvictions == 0 {
-		t.Fatal("additive session stranded bodies but evicted nothing")
-	}
-	if got, want := p.store.Mem().Len(nsFunc), p.Stats.Funcs; got != want {
-		t.Fatalf("function namespace holds %d bodies after convergence, want %d (one per live function)", got, want)
-	}
 }
 
 // TestStaleFuncArtifactDegradesToMiss plants a well-formed body artifact
@@ -210,7 +187,7 @@ func TestPoisonedCFGArtifactFallsBackToDisassembly(t *testing.T) {
 	if _, err := cfg.DecodeBinary(poison); err == nil || !strings.Contains(err.Error(), "missing block") {
 		t.Fatalf("poison decodes with %v; want Validate's missing-block error", err)
 	}
-	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	o.SharedStore = store.NewTiered(store.NewMemory(), nil)
 	key, ok := newProjectShell(img, o).cfgKey()
 	if !ok {
 		t.Fatal("no cfg key")
@@ -276,7 +253,7 @@ func TestPoisonedImageArtifactIsRebuilt(t *testing.T) {
 		t.Fatal("poisoned image artifact decodes")
 	}
 	o.NoFuncCache = false
-	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	o.SharedStore = store.NewTiered(store.NewMemory(), nil)
 	p, err := NewProject(img, o)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +362,7 @@ func TestPoisonedTracePairsDoNotSpread(t *testing.T) {
 		Merged: []tracer.SiteTarget{{Site: site.Addr, Target: extra}, {Site: 0, Target: extra}}})
 
 	o.NoFuncCache = false
-	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	o.SharedStore = store.NewTiered(store.NewMemory(), nil)
 	project := func() (*Project, []byte) {
 		p, err := NewProject(img, o)
 		if err != nil {
@@ -440,7 +417,7 @@ func main() { print_i64(7); return 0; }`, cc.Config{Name: "t", Opt: 2})
 		t.Fatal(err)
 	}
 	o := DefaultOptions()
-	o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil)
+	o.SharedStore = store.NewTiered(store.NewMemory(), nil)
 	for seed := int64(1); seed <= 2; seed++ {
 		p, err := NewProject(img, o)
 		if err != nil {

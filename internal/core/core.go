@@ -62,18 +62,17 @@ type Options struct {
 	NoFuncCache bool
 	// Store, when set, is a backing artifact tier (typically store.Disk or
 	// store.Remote, the -store/-remote-store flags) composed under this
-	// project's private generational memory tier. Artifacts written there
-	// survive the process and may be shared between projects — keys are
-	// content addresses over each stage's full input set, so sharing can
-	// never alias (stages.go).
+	// project's private memory tier. Artifacts written there survive the
+	// process and may be shared between projects — keys are content
+	// addresses over each stage's full input set, so sharing can never
+	// alias (stages.go).
 	Store store.Store
 	// SharedStore, when set, is used directly as the project's artifact
 	// store instead of wrapping a private memory tier over Store — the
-	// fleet-daemon shape (internal/serve): one memory tier warm across
-	// every request. It should be built with store.NewSharedTiered so the
-	// pipeline's generation brackets become no-ops (a private pruning cycle
-	// must not evict entries concurrent projects still use). Takes
-	// precedence over Store; ignored when NoFuncCache is set.
+	// fleet-daemon shape (internal/serve): one store.NewTiered warm across
+	// every request, whose memory entries live as long as the daemon. A
+	// project over it builds its graph in NewProject. Takes precedence over
+	// Store; ignored when NoFuncCache is set.
 	SharedStore *store.Tiered
 	// Obs, when set, records a structured span for every pipeline stage
 	// (disasm, ICFT trace, per-function lift+opt, site finalize, lower) and
@@ -129,13 +128,11 @@ type Stats struct {
 	// Per-tier artifact-store outcomes across every namespace (functions,
 	// CFGs, trace sessions, lowered images). A memory miss that a disk
 	// tier serves counts as StoreMemMisses + StoreDiskHits; disk counters
-	// stay zero when no backing store is configured. StoreEvictions counts
-	// memory-tier entries dropped by generational pruning.
+	// stay zero when no backing store is configured.
 	StoreMemHits    int
 	StoreMemMisses  int
 	StoreDiskHits   int
 	StoreDiskMisses int
-	StoreEvictions  int
 	ICFTs           int
 	Recompiles      int
 	Funcs           int
@@ -209,7 +206,7 @@ type Project struct {
 	pending []pendingTrace
 
 	// store is the project's tiered artifact store (stages.go): a private
-	// generational memory tier over the optional shared Opts.Store backing.
+	// memory tier over the optional shared Opts.Store backing.
 	// Nil when Opts.NoFuncCache is set — every stage then recomputes.
 	store *store.Tiered
 
@@ -288,14 +285,14 @@ func (p *Project) CachedFuncs() int {
 // image bytes. Over a private store NewProject only names the graph by its
 // cfg key, which needs nothing but the input fingerprint, and the graph
 // materializes when a stage first needs it (CFG). With the store off, and
-// over a daemon's shared store, NewProject builds the graph itself: a
-// daemon reports a full repeat as three memory hits (CFG, trace, image),
-// and the fleet benchmark checks that count. Either way an image without a
-// .text section, the one input disassembly rejects, fails here.
+// over a daemon's store (Options.SharedStore), NewProject builds the graph
+// itself: a daemon reports a full repeat as three memory hits (CFG, trace,
+// image), and the fleet benchmark checks that count. Either way an image
+// without a .text section, the one input disassembly rejects, fails here.
 func NewProject(img *image.Image, opts Options) (*Project, error) {
 	p := newProjectShell(img, opts)
 	p.graphKey, p.graphKeyOK = p.cfgKey()
-	if !p.graphKeyOK || p.store.Shared() {
+	if !p.graphKeyOK || opts.SharedStore != nil {
 		if _, err := p.materialize(); err != nil {
 			return nil, err
 		}
@@ -379,7 +376,7 @@ func NewProjectWithGraph(img *image.Image, g *cfg.Graph, opts Options) *Project 
 
 // newProjectShell builds the project and its tiered artifact store: the
 // caller-supplied shared store when one is set (daemon mode), otherwise a
-// private generational memory tier over the optional backing store.
+// private memory tier over the optional backing store.
 func newProjectShell(img *image.Image, opts Options) *Project {
 	p := &Project{Img: img, Opts: opts}
 	switch {

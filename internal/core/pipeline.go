@@ -64,9 +64,7 @@ func (p *Project) pipeWorkers() int {
 // The final lowered image is itself an artifact, keyed by the input image
 // bytes, the merged graph's derivation key, the option bits, and the
 // dynamic-analysis state (stages.go). A store hit short-circuits the whole
-// pipeline — the graph need not materialize, and no generation is opened,
-// so the memory tier's function bodies stay live for the next recompile
-// that does run.
+// pipeline: the graph need not materialize.
 func (p *Project) Recompile() (*image.Image, error) {
 	if err := p.ctxErr(); err != nil {
 		return nil, fmt.Errorf("core: recompile cancelled: %w", err)
@@ -247,7 +245,6 @@ func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 
 	var keys []store.Key
 	if cacheable {
-		p.store.BeginGen()
 		isFunc := make(map[uint64]bool, len(funcs))
 		for _, cf := range funcs {
 			isFunc[cf.Entry] = true
@@ -323,14 +320,9 @@ func (p *Project) buildModule(st buildState) (*lifter.Lifted, error) {
 	if err := pool.RunCtx(p.Opts.Ctx, p.pipeWorkers(), len(funcs), task); err != nil {
 		return nil, err
 	}
-	var evicted int
-	if cacheable {
-		evicted = p.store.EndGen()
-	}
 	p.Stats.update(func() {
 		p.Stats.CacheHits += int(hits.Load())
 		p.Stats.CacheMisses += int(misses.Load())
-		p.Stats.StoreEvictions += evicted
 	})
 
 	fssp := tr.Begin(p.obsTID(), "pipeline", "finalize-sites")

@@ -250,7 +250,7 @@ func TestNewProjectRejectsImageWithoutText(t *testing.T) {
 	}{
 		{"off", func(o *core.Options) { o.NoFuncCache = true }},
 		{"private", func(o *core.Options) { o.Store = store.NewMemory() }},
-		{"shared", func(o *core.Options) { o.SharedStore = store.NewSharedTiered(store.NewMemory(), nil) }},
+		{"shared", func(o *core.Options) { o.SharedStore = store.NewTiered(store.NewMemory(), nil) }},
 	} {
 		o := options()
 		tc.set(&o)

@@ -67,12 +67,6 @@ type Lifted struct {
 	VLanes     [mx.NumVRegs][mx.VectorWidth]*ir.Global
 	Img        *image.Image
 	Graph      *cfg.Graph
-	// NumSites is the number of original-program memory access sites
-	// (loads, stores, atomics), each tagged with a deterministic SiteID.
-	// Lifting the same (image, graph) twice yields identical SiteIDs, so
-	// the spinloop analysis finds each site it analyzes under the ID the
-	// instrumented copy of the same build recorded (§3.4.2).
-	NumSites int
 }
 
 // Flag indices into Lifted.Flags.
@@ -155,7 +149,13 @@ func (lf *Lifted) LiftFunc(cf *cfg.Func, opts Options) (int, error) {
 // total of prior functions' lift-time site counts as its base — exactly the
 // IDs a serial whole-module lift assigns. counts maps function entry to the
 // site count its body was lifted with (whether lifted now or replayed from
-// cache). NumSites is set to the total.
+// cache).
+//
+// Every original-program memory access site (load, store, atomic) thus
+// carries a deterministic SiteID: lifting the same (image, graph) twice
+// yields identical SiteIDs, so the spinloop analysis finds each site it
+// analyzes under the ID the instrumented copy of the same build recorded
+// (§3.4.2).
 func (lf *Lifted) FinalizeSites(counts map[uint64]int) {
 	base := 0
 	for _, cf := range SortedFuncs(lf.Graph) {
@@ -174,7 +174,6 @@ func (lf *Lifted) FinalizeSites(counts map[uint64]int) {
 		}
 		base += counts[cf.Entry]
 	}
-	lf.NumSites = base
 }
 
 // Lift translates the program described by g into a PIR module.

@@ -30,8 +30,6 @@ const tlsInitFlagOff = 0
 // Result is the outcome of lowering.
 type Result struct {
 	Img *image.Image
-	// Labels maps function/wrapper labels to addresses (tests, diagnostics).
-	Labels map[string]uint64
 	// CodeSize is the recompiled code size in bytes.
 	CodeSize int
 	// Fences is the number of fence instructions emitted. Zero on
@@ -197,7 +195,7 @@ func LowerWithOptions(lf *lifter.Lifted, opts Options) (*Result, error) {
 		copy(text.Data[off:], tramp)
 	}
 
-	return &Result{Img: out, Labels: labels, CodeSize: len(code), Fences: env.fences}, nil
+	return &Result{Img: out, CodeSize: len(code), Fences: env.fences}, nil
 }
 
 // emitWrapper synthesizes the native->emulated transition wrapper for f.

@@ -65,9 +65,7 @@ import (
 	"net/http/pprof"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,7 +161,7 @@ func New(cfg Config) *Server {
 	o.NoFuncCache = false
 	s := &Server{
 		opts:       o,
-		store:      store.NewSharedTiered(store.NewMemory(), cfg.Backing),
+		store:      store.NewTiered(store.NewMemory(), cfg.Backing),
 		tracer:     cfg.Tracer,
 		logger:     cfg.Logger,
 		maxBody:    cfg.MaxBodyBytes,
@@ -223,7 +221,7 @@ func (s *Server) initMetrics() {
 		"Admission decisions by client and outcome (client is a token digest or remote host).")
 	s.ms.Gauge("polynimad_queue_depth",
 		"Requests waiting for an admission slot right now, by class.")
-	s.ms.Counter("store_tier_ops_total",
+	ops := s.ms.Counter("store_tier_ops_total",
 		"Shared artifact-store operations by tier and outcome.")
 	s.histStoreOp = s.ms.Histogram("store_tier_op_seconds",
 		"Shared artifact-store operation latency, by tier and op (get/put).", storeOpBuckets)
@@ -231,23 +229,12 @@ func (s *Server) initMetrics() {
 		"Build/runtime info: constant 1 with the go version and store tiers in labels.").
 		Set(1,
 			obs.Label{Key: "go_version", Val: runtime.Version()},
-			obs.Label{Key: "store_tiers", Val: strings.Join(s.storeTierNames(), ",")})
+			obs.Label{Key: "store_tiers", Val: store.ExportTierOps(ops, s.store.Stats())})
 	s.ms.Gauge("go_goroutines", "Live goroutines.")
 	s.ms.Gauge("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.")
 	s.ms.Gauge("go_memstats_heap_sys_bytes", "Heap memory obtained from the OS.")
 	s.ms.Counter("go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause seconds.")
 	s.ms.Counter("go_gc_cycles_total", "Completed GC cycles.")
-}
-
-// storeTierNames lists the shared store's tiers ("mem" plus backing tier
-// names), sorted — the build-info store_tiers label.
-func (s *Server) storeTierNames() []string {
-	names := make([]string, 0, 4)
-	for tier := range s.store.Stats() {
-		names = append(names, tier)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Store exposes the shared tiered store (tests, diagnostics).
@@ -785,24 +772,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	depth.Set(float64(s.limJobs.queued()), obs.Label{Key: "class", Val: "jobs"})
 	depth.Set(float64(s.limStore.queued()), obs.Label{Key: "class", Val: "store"})
 
-	st := s.store.Stats()
-	tiers := make([]string, 0, len(st))
-	for tier := range st {
-		tiers = append(tiers, tier)
-	}
-	sort.Strings(tiers)
-	ops := ms.Counter("store_tier_ops_total", "")
-	for _, tier := range tiers {
-		c := st[tier]
-		l := obs.Label{Key: "tier", Val: tier}
-		ops.Set(float64(c.Hits), l, obs.Label{Key: "op", Val: "hit"})
-		ops.Set(float64(c.Misses), l, obs.Label{Key: "op", Val: "miss"})
-		ops.Set(float64(c.Evictions), l, obs.Label{Key: "op", Val: "eviction"})
-		ops.Set(float64(c.Corrupt), l, obs.Label{Key: "op", Val: "corrupt"})
-		ops.Set(float64(c.Errors), l, obs.Label{Key: "op", Val: "error"})
-		ops.Set(float64(c.Retries), l, obs.Label{Key: "op", Val: "retry"})
-		ops.Set(float64(c.Throttled), l, obs.Label{Key: "op", Val: "throttled"})
-	}
+	store.ExportTierOps(ms.Counter("store_tier_ops_total", ""), s.store.Stats())
 
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)

@@ -5,68 +5,44 @@ import (
 	"time"
 )
 
-// Memory is the in-process store tier: a content-addressed map with
-// generational pruning. It generalizes core's original function cache — the
-// owner brackets each unit of reuse (one Recompile pass) with BeginGen /
-// EndGen, every Get or Put within the bracket marks its entry live, and
-// EndGen drops entries not touched for a full generation. An entry reused
-// every pass therefore lives forever; one that goes unused for exactly one
-// complete generation is evicted (additive workflows re-lift only what the
-// new trace invalidated, so anything untouched for a whole pass is stale).
-//
-// Outside a generation bracket (gen 0, e.g. a shared harness-level tier)
-// nothing is ever evicted.
+// Memory is the in-process store tier: a content-addressed map whose
+// entries live as long as the tier. It generalizes core's original function
+// cache. A project's private tier lives as long as the project; the fleet
+// daemon's lives as long as the daemon and is unbounded (Disk.SetMaxBytes
+// bounds only the persistent tier).
 //
 // Memory is safe for concurrent use.
 type Memory struct {
 	lat     LatencyObserver // construction-time seam; see SetLatencyObserver
 	mu      sync.Mutex
-	gen     uint64
-	entries map[string]map[Key]*memEntry
+	entries map[memKey][]byte
 	c       Counters
 }
 
-type memEntry struct {
-	data []byte
-	gen  uint64 // last generation that touched the entry
+// memKey names one entry: one map over every namespace costs a fresh
+// project's tier one allocation, not one per namespace it touches.
+type memKey struct {
+	ns  string
+	key Key
 }
 
 // NewMemory returns an empty memory tier.
 func NewMemory() *Memory {
-	return &Memory{entries: map[string]map[Key]*memEntry{}}
+	return &Memory{entries: map[memKey][]byte{}}
 }
 
-// BeginGen opens a new generation: subsequent Get/Put calls mark their
-// entries as live in it.
-func (m *Memory) BeginGen() {
-	m.mu.Lock()
-	m.gen++
-	m.mu.Unlock()
-}
-
-// EndGen closes the current generation, evicting every entry that was not
-// touched during it, and returns the number of entries evicted.
-func (m *Memory) EndGen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	evicted := 0
-	for _, ents := range m.entries {
-		for k, e := range ents {
-			if e.gen != m.gen {
-				delete(ents, k)
-				evicted++
-			}
-		}
-	}
-	m.c.Evictions += int64(evicted)
-	return evicted
-}
-
-// Len reports the number of live entries in namespace ns.
+// Len reports the number of entries in namespace ns (tests, diagnostics:
+// it walks every entry).
 func (m *Memory) Len(ns string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries[ns])
+	n := 0
+	for k := range m.entries {
+		if k.ns == ns {
+			n++
+		}
+	}
+	return n
 }
 
 // Get implements Store. The returned slice is a private copy: the tier's
@@ -79,14 +55,13 @@ func (m *Memory) Get(ns string, key Key) ([]byte, string, bool) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[ns][key]
+	data, ok := m.entries[memKey{ns, key}]
 	if !ok {
 		m.c.Misses++
 		return nil, "", false
 	}
-	e.gen = m.gen
 	m.c.Hits++
-	return cloneBytes(e.data), "mem", true
+	return cloneBytes(data), "mem", true
 }
 
 // Put implements Store.
@@ -96,12 +71,7 @@ func (m *Memory) Put(ns string, key Key, data []byte) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ents := m.entries[ns]
-	if ents == nil {
-		ents = map[Key]*memEntry{}
-		m.entries[ns] = ents
-	}
-	ents[key] = &memEntry{data: data, gen: m.gen}
+	m.entries[memKey{ns, key}] = data
 }
 
 // SetLatencyObserver implements LatencyObservable. Install before the tier

@@ -8,21 +8,26 @@
 // invalidation is implicit (a changed input hashes to a new key and the
 // stale entry simply stops being referenced).
 //
-// Two tiers implement the Store interface:
+// Three tiers implement the Store interface:
 //
-//   - Memory (mem.go): a process-local map with generational pruning — the
-//     generalization of core's original content-addressed function cache.
-//     Each core.Project owns one, so pruning semantics stay project-local.
+//   - Memory (mem.go): a process-local map — the generalization of core's
+//     original content-addressed function cache. Each core.Project owns one
+//     unless it runs over the fleet daemon's; entries live as long as the
+//     tier that holds them.
 //   - Disk (disk.go): a persistent tier under a versioned key namespace,
 //     written atomically (temp file + rename, atomic.go). Any corrupt,
 //     short, or version-mismatched entry is treated as a miss and counted —
 //     never surfaced as an error and never able to produce a wrong output,
 //     because payloads are checksummed and artifacts are content-addressed.
+//     An optional size limit prunes its oldest entries.
+//   - Remote (remote.go): a polynimad store service over HTTP, with the
+//     same degrade-to-a-counted-miss contract.
 //
 // Tiered (tiered.go) composes a memory tier over an optional backing tier
-// and promotes backing hits into memory. The determinism contract
-// (DESIGN.md §3): recompiled bytes are identical whether an artifact is
-// recomputed, replayed from memory, or replayed from disk.
+// and promotes backing hits into memory; OpenBacking (backing.go) builds
+// the disk-over-remote backing the CLIs' flags describe. The determinism
+// contract (DESIGN.md §3): recompiled bytes are identical whether an
+// artifact is recomputed, replayed from memory, or replayed from disk.
 package store
 
 import (
@@ -64,7 +69,7 @@ func U64(x uint64) []byte {
 type Counters struct {
 	Hits      int64 // Get served from this tier
 	Misses    int64 // Get that this tier could not serve
-	Evictions int64 // entries dropped by pruning (memory generations, disk size limit)
+	Evictions int64 // entries dropped by the disk tier's size limit
 	Corrupt   int64 // entries rejected as corrupt/short/checksum-mismatched
 	Errors    int64 // I/O or transport errors swallowed (degraded to misses / dropped writes)
 	Retries   int64 // remote-tier request attempts beyond the first

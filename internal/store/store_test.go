@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -24,46 +25,6 @@ func TestKeyOfFraming(t *testing.T) {
 	}
 }
 
-func TestMemoryGenerationalPruning(t *testing.T) {
-	m := store.NewMemory()
-	k1 := store.KeyOf([]byte("one"))
-	k2 := store.KeyOf([]byte("two"))
-
-	m.BeginGen()
-	m.Put("f", k1, []byte("b1"))
-	m.Put("f", k2, []byte("b2"))
-	if ev := m.EndGen(); ev != 0 {
-		t.Fatalf("gen 1 evicted %d, want 0", ev)
-	}
-
-	// Gen 2 touches only k1; k2 goes unused for exactly one generation and
-	// must be evicted at its close.
-	m.BeginGen()
-	if _, _, ok := m.Get("f", k1); !ok {
-		t.Fatal("k1 missing in gen 2")
-	}
-	if ev := m.EndGen(); ev != 1 {
-		t.Fatalf("gen 2 evicted %d, want 1 (the untouched entry)", ev)
-	}
-	if m.Len("f") != 1 {
-		t.Fatalf("Len = %d after eviction, want 1", m.Len("f"))
-	}
-	if _, _, ok := m.Get("f", k2); ok {
-		t.Fatal("evicted entry still readable")
-	}
-	// The entry touched every generation survives indefinitely.
-	m.BeginGen()
-	if _, _, ok := m.Get("f", k1); !ok {
-		t.Fatal("k1 evicted despite being touched every generation")
-	}
-	m.EndGen()
-
-	st := m.Stats()["mem"]
-	if st.Evictions != 1 || st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("counters = %+v, want 2 hits / 1 miss / 1 eviction", st)
-	}
-}
-
 func TestMemoryNamespacesAreDisjoint(t *testing.T) {
 	m := store.NewMemory()
 	k := store.KeyOf([]byte("x"))
@@ -73,6 +34,17 @@ func TestMemoryNamespacesAreDisjoint(t *testing.T) {
 	}
 	if data, tier, ok := m.Get("a", k); !ok || tier != "mem" || string(data) != "in-a" {
 		t.Fatalf("Get(a) = %q, %q, %v", data, tier, ok)
+	}
+	// Entries live as long as the tier: a later read still hits.
+	if _, _, ok := m.Get("a", k); !ok {
+		t.Fatal("entry gone on second read")
+	}
+	if m.Len("a") != 1 || m.Len("b") != 0 {
+		t.Fatalf("Len(a), Len(b) = %d, %d, want 1, 0", m.Len("a"), m.Len("b"))
+	}
+	st := m.Stats()["mem"]
+	if st.Hits != 2 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("counters = %+v, want 2 hits / 1 miss / 0 evictions", st)
 	}
 }
 
@@ -197,5 +169,42 @@ func TestTieredMemoryOnly(t *testing.T) {
 	}
 	if _, ok := ts.Stats()["disk"]; ok {
 		t.Fatal("memory-only store reports a disk tier")
+	}
+}
+
+// TestOpenBacking covers the CLIs' backing-store flags: nothing set means
+// memory only, -store alone is the disk tier, both chain disk before
+// remote, and a bad remote URL or disk root fails up front.
+func TestOpenBacking(t *testing.T) {
+	if b, err := store.OpenBacking("", 0, "", store.RemoteOptions{}); b != nil || err != nil {
+		t.Fatalf("no flags: %v, %v; want nil, nil", b, err)
+	}
+	dir := t.TempDir()
+	b, err := store.OpenBacking(dir, 1, "", store.RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := b.(*store.Disk); !ok || d.Dir() != dir {
+		t.Fatalf("-store alone: got %T, want the disk tier at %s", b, dir)
+	}
+	b, err = store.OpenBacking(dir, 0, "http://127.0.0.1:1", store.RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := b.Stats()
+	_, disk := st["disk"]
+	_, remote := st["remote"]
+	if !disk || !remote || len(st) != 2 {
+		t.Fatalf("-store and -remote-store: tiers %v, want disk and remote", st)
+	}
+	if _, err := store.OpenBacking("", 0, "ftp://host", store.RemoteOptions{}); err == nil {
+		t.Fatal("bad remote scheme accepted")
+	}
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.OpenBacking(file, 0, "", store.RemoteOptions{}); err == nil || !strings.HasPrefix(err.Error(), "store: ") {
+		t.Fatalf("disk root under a file: err %v, want a store: error", err)
 	}
 }

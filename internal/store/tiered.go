@@ -5,17 +5,12 @@ package store
 // and promote backing hits into memory; Puts write through to both, so a
 // fresh computation persists even if the process exits before it is reused.
 //
-// Generational pruning applies only to the memory tier — the backing tier
-// keeps everything (subject to its own size limit) — so Tiered forwards
-// BeginGen/EndGen to its Memory. A *shared* Tiered (NewSharedTiered) is one
-// memory tier serving many concurrent owners — the fleet daemon's shape —
-// where per-owner generation brackets would evict entries other owners are
-// still using; there BeginGen/EndGen are no-ops and nothing is ever evicted
-// from memory.
+// One Tiered serves a single project or, in the fleet daemon, every
+// concurrent request alike: memory entries live as long as the Tiered, and
+// only a disk backing tier has a size bound (Disk.SetMaxBytes).
 type Tiered struct {
-	mem    *Memory
-	back   Store // nil when memory-only
-	shared bool  // generation brackets are no-ops (many concurrent owners)
+	mem  *Memory
+	back Store // nil when memory-only
 }
 
 // NewTiered returns mem composed over back; back may be nil for a
@@ -27,42 +22,11 @@ func NewTiered(mem *Memory, back Store) *Tiered {
 	return &Tiered{mem: mem, back: back}
 }
 
-// NewSharedTiered returns a Tiered meant to be shared across concurrent
-// owners (e.g. every request of a long-running daemon): generation brackets
-// are no-ops, so one owner's pruning cycle can never evict entries another
-// owner is relying on.
-func NewSharedTiered(mem *Memory, back Store) *Tiered {
-	t := NewTiered(mem, back)
-	t.shared = true
-	return t
-}
-
 // Mem exposes the memory tier (for Len in tests and diagnostics).
 func (t *Tiered) Mem() *Memory { return t.mem }
 
 // HasBacking reports whether a backing tier is attached.
 func (t *Tiered) HasBacking() bool { return t.back != nil }
-
-// Shared reports whether this store is in shared (no-eviction) mode.
-func (t *Tiered) Shared() bool { return t.shared }
-
-// BeginGen opens a pruning generation on the memory tier (no-op when
-// shared).
-func (t *Tiered) BeginGen() {
-	if t.shared {
-		return
-	}
-	t.mem.BeginGen()
-}
-
-// EndGen closes the memory tier's generation and returns its evicted count
-// (always 0 when shared).
-func (t *Tiered) EndGen() int {
-	if t.shared {
-		return 0
-	}
-	return t.mem.EndGen()
-}
 
 // Get implements Store; tier reports which tier served the hit ("mem" or
 // the backing tier's own name). On a backing hit the bytes are promoted

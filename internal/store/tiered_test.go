@@ -139,37 +139,16 @@ func TestDiskPruning(t *testing.T) {
 	}
 }
 
-// TestSharedTieredNoEviction: generation brackets on a shared Tiered are
-// no-ops, so one owner's Begin/End cycle can never evict entries another
-// owner still needs.
-func TestSharedTieredNoEviction(t *testing.T) {
-	ts := store.NewSharedTiered(store.NewMemory(), nil)
-	k1, k2 := store.KeyOf([]byte("1")), store.KeyOf([]byte("2"))
-	ts.Put("f", k1, []byte("v1"))
-	ts.Put("f", k2, []byte("v2"))
-	ts.BeginGen()
-	ts.Get("f", k1) // k2 untouched this "generation"
-	if ev := ts.EndGen(); ev != 0 {
-		t.Fatalf("shared EndGen evicted %d", ev)
-	}
-	if _, _, ok := ts.Get("f", k2); !ok {
-		t.Fatal("shared tier evicted an entry across a generation bracket")
-	}
-	if !ts.Shared() || ts.HasBacking() {
-		t.Fatal("Shared/HasBacking misreport")
-	}
-}
-
-// TestTieredSharedConcurrent exercises one shared Tiered from many
-// goroutines across namespaces — Put, Get, promotion from disk, and
-// generation brackets all interleaving. Run under -race in CI; correctness
+// TestTieredSharedConcurrent exercises one Tiered shared by many
+// goroutines across namespaces — Put, Get and promotion from disk all
+// interleaving, the fleet daemon's shape. Run under -race in CI; correctness
 // here means every hit returns exactly the bytes put under that key.
 func TestTieredSharedConcurrent(t *testing.T) {
 	disk, err := store.OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := store.NewSharedTiered(store.NewMemory(), disk)
+	ts := store.NewTiered(store.NewMemory(), disk)
 	namespaces := []string{"cfg", "func", "image"}
 
 	value := func(ns string, i int) []byte {
@@ -193,9 +172,6 @@ func TestTieredSharedConcurrent(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					ts.Put(ns, key(ns, i), value(ns, i))
-				case 1:
-					ts.BeginGen()
-					ts.EndGen()
 				default:
 					if data, _, ok := ts.Get(ns, key(ns, i)); ok {
 						if !bytes.Equal(data, value(ns, i)) {
