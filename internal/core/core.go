@@ -811,19 +811,22 @@ func callbackSetOf(entries []uint64) map[uint64]bool {
 }
 
 // FenceOptimize runs the spinloop-detection pipeline (§3.4): build the
-// optimized module, instrument it, run the instrumented recompiled binary
-// over the inputs, analyze every loop of the build, and — only if the whole
-// program is proven free of implicit synchronization — enable fence removal
-// for subsequent recompilations. It returns the analysis report.
+// optimized module, run its recompiled binary over the inputs while the VM
+// records every memory access site, analyze every loop of the build, and —
+// only if the whole program is proven free of implicit synchronization —
+// enable fence removal for subsequent recompilations. It returns the
+// analysis report.
 //
 // Both builds come from the builder Recompile uses (buildModule), unpruned,
 // with fences kept and optimization on; there are two because lowering
-// consumes the instrumented one. The builder is deterministic, so the sites
+// destroys the first one's phis. The recording run executes the first build
+// exactly as lowered: each access with a SiteID is one tagged instruction
+// (lower.Result.Sites), and the machine reports it to the recorder
+// (vm.Machine.RecordAccesses). The builder is deterministic, so the sites
 // the recording covers are exactly the sites Analyze looks up; with a store,
-// the second build replays every body the first one stored. The instrumented
-// binary runs under the configured target's machine mode, as the production
-// recompile will. Each instrumented run records a spindet/instrumented-run
-// span.
+// the second build replays every body the first one stored. The binary runs
+// under the configured target's machine mode, as the production recompile
+// will. Each recording run records a spindet/instrumented-run span.
 func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 	if err := p.ctxErr(); err != nil {
 		return nil, fmt.Errorf("core: fence optimization cancelled: %w", err)
@@ -837,7 +840,6 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	spindet.Instrument(lf.Mod)
 	res, err := lower.LowerWithOptions(lf, lower.Options{Target: tgt})
 	if err != nil {
 		return nil, err
@@ -847,30 +849,24 @@ func (p *Project) FenceOptimize(inputs []Input) (*spindet.Report, error) {
 		inputs = []Input{{Seed: p.Opts.Seed}}
 	}
 	for ri, in := range inputs {
-		exts := map[string]vm.ExtFunc{}
-		for k, v := range in.Exts {
-			exts[k] = v
-		}
-		for k, v := range recorder.Exts() {
-			exts[k] = v
-		}
-		m, err := vm.NewWithExts(res.Img, in.Seed, exts)
+		m, err := vm.NewWithExts(res.Img, in.Seed, in.Exts)
 		if err != nil {
 			return nil, err
 		}
+		m.RecordAccesses(res.Sites, recorder.Record)
 		m.SetCancel(p.ctxDone())
 		if in.Data != nil {
 			m.SetInput(in.Data)
 		}
-		sites := len(recorder.Recording().Sites)
+		sites := recorder.Recording().Observed()
 		sp := p.Opts.Obs.Begin(p.obsTID(), "spindet", "instrumented-run", obs.Arg{Key: "run", Val: ri})
 		r := m.Run(p.Opts.Fuel)
-		sp.Arg("insts", r.Insts).Arg("sites", len(recorder.Recording().Sites)-sites).End()
+		sp.Arg("insts", r.Insts).Arg("sites", recorder.Recording().Observed()-sites).End()
 		if r.Fault != nil {
-			if cerr := p.cancelErr(r.Fault, "instrumented run"); cerr != nil {
+			if cerr := p.cancelErr(r.Fault, "recording run"); cerr != nil {
 				return nil, cerr
 			}
-			return nil, fmt.Errorf("core: instrumented run faulted: %w", r.Fault)
+			return nil, fmt.Errorf("core: recording run faulted: %w", r.Fault)
 		}
 	}
 

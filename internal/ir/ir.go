@@ -217,8 +217,8 @@ type Value struct {
 	// the emulated stack pointer (§3.3.4): they get no fences and are known
 	// thread-exclusive by the spinloop analysis.
 	StackLocal bool
-	// SiteID identifies a memory access site for dynamic instrumentation
-	// (spinloop detection, §3.4.2). Zero means uninstrumented.
+	// SiteID identifies a memory access site for dynamic recording
+	// (spinloop detection, §3.4.2). Zero means not recorded.
 	SiteID int
 	// OrigPC is the original-binary instruction address this value was
 	// lifted from (0 for synthesized values); used for diagnostics and for

@@ -154,7 +154,7 @@ func (lf *Lifted) LiftFunc(cf *cfg.Func, opts Options) (int, error) {
 // Every original-program memory access site (load, store, atomic) thus
 // carries a deterministic SiteID: lifting the same (image, graph) twice
 // yields identical SiteIDs, so the spinloop analysis finds each site it
-// analyzes under the ID the instrumented copy of the same build recorded
+// analyzes under the ID the recording run of the same build reported
 // (§3.4.2).
 func (lf *Lifted) FinalizeSites(counts map[uint64]int) {
 	base := 0

@@ -14,8 +14,12 @@ type emitter struct {
 	base  uint64
 	items []emitItem
 	defs  map[string]int // label -> item index
+	tags  []emitTag      // tagged accesses, in emission order
 	err   error
 }
+
+// emitTag pairs a tagged access's item index with its IR site ID.
+type emitTag struct{ item, site int }
 
 type emitFix uint8
 
@@ -58,6 +62,15 @@ func (e *emitter) freshLabel(tag string) string {
 
 func (e *emitter) emit(i mx.Inst) { e.items = append(e.items, emitItem{inst: i}) }
 
+// emitAccess emits the one instruction an IR memory access lowers to,
+// tagging it with the access's site ID when it has one.
+func (e *emitter) emitAccess(i mx.Inst, site int) {
+	if site != 0 {
+		e.tags = append(e.tags, emitTag{item: len(e.items), site: site})
+	}
+	e.emit(i)
+}
+
 func (e *emitter) jmp(label string) {
 	e.items = append(e.items, emitItem{inst: mx.Inst{Op: mx.JMP}, fix: fixRel32, target: label})
 }
@@ -75,11 +88,11 @@ func (e *emitter) movSym(dst mx.Reg, label string) {
 	e.items = append(e.items, emitItem{inst: mx.Inst{Op: mx.MOVRI, Dst: dst}, fix: fixAbs64, target: label})
 }
 
-// assemble resolves labels and returns the code blob plus the label
-// addresses.
-func (e *emitter) assemble() ([]byte, map[string]uint64, error) {
+// assemble resolves labels and returns the code blob, the label addresses
+// and the site table (tagged instruction address -> site ID).
+func (e *emitter) assemble() ([]byte, map[string]uint64, map[uint64]int, error) {
 	if e.err != nil {
-		return nil, nil, e.err
+		return nil, nil, nil, e.err
 	}
 	addr := e.base
 	for i := range e.items {
@@ -100,14 +113,14 @@ func (e *emitter) assemble() ([]byte, map[string]uint64, error) {
 		if it.fix != fixNone {
 			target, ok := labels[it.target]
 			if !ok {
-				return nil, nil, fmt.Errorf("lower: undefined label %q", it.target)
+				return nil, nil, nil, fmt.Errorf("lower: undefined label %q", it.target)
 			}
 			switch it.fix {
 			case fixRel32:
 				end := it.addr + uint64(inst.Len())
 				d := int64(target) - int64(end)
 				if int64(int32(d)) != d {
-					return nil, nil, fmt.Errorf("lower: branch to %q out of range", it.target)
+					return nil, nil, nil, fmt.Errorf("lower: branch to %q out of range", it.target)
 				}
 				inst.Disp = int32(d)
 			case fixAbs64:
@@ -116,5 +129,9 @@ func (e *emitter) assemble() ([]byte, map[string]uint64, error) {
 		}
 		code = inst.Encode(code)
 	}
-	return code, labels, nil
+	sites := make(map[uint64]int, len(e.tags))
+	for _, tg := range e.tags {
+		sites[e.items[tg.item].addr] = tg.site
+	}
+	return code, labels, sites, nil
 }

@@ -37,9 +37,9 @@ func (fl *funcLower) lowerInst(v *ir.Value, b *ir.Block, bi, ii int) error {
 		}
 		if ma.hasIdx {
 			iop := map[mx.Op]mx.Op{mx.LOAD8: mx.LOADIDX8, mx.LOAD32: mx.LOADIDX32, mx.LOAD64: mx.LOADIDX64}[op]
-			e.emit(mx.Inst{Op: iop, Dst: mx.R10, Base: ma.base, Idx: ma.idx, Scale: ma.scale, Disp: ma.disp})
+			e.emitAccess(mx.Inst{Op: iop, Dst: mx.R10, Base: ma.base, Idx: ma.idx, Scale: ma.scale, Disp: ma.disp}, v.SiteID)
 		} else {
-			e.emit(mx.Inst{Op: op, Dst: mx.R10, Base: ma.base, Disp: ma.disp})
+			e.emitAccess(mx.Inst{Op: op, Dst: mx.R10, Base: ma.base, Disp: ma.disp}, v.SiteID)
 		}
 		fl.storeResult(v, mx.R10)
 		return nil
@@ -132,7 +132,7 @@ func (fl *funcLower) lowerInst(v *ir.Value, b *ir.Block, bi, ii int) error {
 		}
 		e.emit(mx.Inst{Op: mx.POP, Dst: mx.RAX})
 		e.emit(mx.Inst{Op: mx.POP, Dst: mx.R10})
-		e.emit(mx.Inst{Op: mx.CMPXCHG, Dst: mx.R11, Base: mx.R10})
+		e.emitAccess(mx.Inst{Op: mx.CMPXCHG, Dst: mx.R11, Base: mx.R10}, v.SiteID)
 		// RAX now holds the old value on both outcomes.
 		fl.storeResult(v, mx.RAX)
 		return nil
@@ -304,9 +304,9 @@ func (fl *funcLower) emitStore(v *ir.Value, ma memAddress, val mx.Reg) error {
 		return fmt.Errorf("bad store width %d", v.Width)
 	}
 	if ma.hasIdx {
-		fl.e.emit(mx.Inst{Op: iop, Dst: val, Base: ma.base, Idx: ma.idx, Scale: ma.scale, Disp: ma.disp})
+		fl.e.emitAccess(mx.Inst{Op: iop, Dst: val, Base: ma.base, Idx: ma.idx, Scale: ma.scale, Disp: ma.disp}, v.SiteID)
 	} else {
-		fl.e.emit(mx.Inst{Op: op, Dst: val, Base: ma.base, Disp: ma.disp})
+		fl.e.emitAccess(mx.Inst{Op: op, Dst: val, Base: ma.base, Disp: ma.disp}, v.SiteID)
 	}
 	return nil
 }
@@ -342,14 +342,14 @@ func (fl *funcLower) lowerRMW(v *ir.Value) error {
 	e.emit(mx.Inst{Op: mx.POP, Dst: mx.R10})
 	switch v.RMW {
 	case ir.RMWAdd:
-		e.emit(mx.Inst{Op: mx.LOCKXADD, Dst: mx.R11, Base: mx.R10})
+		e.emitAccess(mx.Inst{Op: mx.LOCKXADD, Dst: mx.R11, Base: mx.R10}, v.SiteID)
 		fl.storeResult(v, mx.R11)
 	case ir.RMWSub:
 		e.emit(mx.Inst{Op: mx.NEG, Dst: mx.R11})
-		e.emit(mx.Inst{Op: mx.LOCKXADD, Dst: mx.R11, Base: mx.R10})
+		e.emitAccess(mx.Inst{Op: mx.LOCKXADD, Dst: mx.R11, Base: mx.R10}, v.SiteID)
 		fl.storeResult(v, mx.R11)
 	case ir.RMWXchg:
-		e.emit(mx.Inst{Op: mx.XCHG, Dst: mx.R11, Base: mx.R10})
+		e.emitAccess(mx.Inst{Op: mx.XCHG, Dst: mx.R11, Base: mx.R10}, v.SiteID)
 		fl.storeResult(v, mx.R11)
 	case ir.RMWAnd, ir.RMWOr, ir.RMWXor:
 		var op mx.Op
@@ -363,7 +363,7 @@ func (fl *funcLower) lowerRMW(v *ir.Value) error {
 		}
 		retry := e.freshLabel("rmw_retry")
 		e.label(retry)
-		e.emit(mx.Inst{Op: mx.LOAD64, Dst: mx.RAX, Base: mx.R10})
+		e.emitAccess(mx.Inst{Op: mx.LOAD64, Dst: mx.RAX, Base: mx.R10}, v.SiteID)
 		e.emit(mx.Inst{Op: mx.MOVRR, Dst: mx.RSI, Src: mx.RAX})
 		e.emit(mx.Inst{Op: op, Dst: mx.RSI, Src: mx.R11})
 		e.emit(mx.Inst{Op: mx.CMPXCHG, Dst: mx.RSI, Base: mx.R10})

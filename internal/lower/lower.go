@@ -35,6 +35,13 @@ type Result struct {
 	// Fences is the number of fence instructions emitted. Zero on
 	// TSO-like targets, where ir.OpFence/OpBarrier lower to nothing.
 	Fences int
+	// Sites is the site table: every IR memory access with a SiteID lowers
+	// to exactly one tagged instruction, and Sites maps that instruction's
+	// code address to the SiteID. The tagged instruction is the load or
+	// store, the CMPXCHG, the LOCK XADD or XCHG of an atomic add, sub or
+	// exchange, or the load of an and/or/xor atomic's CAS loop.
+	// vm.Machine.RecordAccesses takes this table.
+	Sites map[uint64]int
 }
 
 // Options configures lowering variants.
@@ -152,7 +159,7 @@ func LowerWithOptions(lf *lifter.Lifted, opts Options) (*Result, error) {
 		}
 	}
 
-	code, labels, err := e.assemble()
+	code, labels, sites, err := e.assemble()
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +202,7 @@ func LowerWithOptions(lf *lifter.Lifted, opts Options) (*Result, error) {
 		copy(text.Data[off:], tramp)
 	}
 
-	return &Result{Img: out, CodeSize: len(code), Fences: env.fences}, nil
+	return &Result{Img: out, CodeSize: len(code), Fences: env.fences, Sites: sites}, nil
 }
 
 // emitWrapper synthesizes the native->emulated transition wrapper for f.

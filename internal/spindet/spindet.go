@@ -11,24 +11,24 @@
 // Lasagne fences inserted at lift time are superfluous and may be removed
 // (the FO columns of Table 2).
 //
-// Memory-access locality is recorded dynamically: an instrumented build of
-// the recompiled binary reports every executed access site to the host
-// recorder, which classifies addresses against the per-thread emulated-stack
-// allocations it controls (§3.4.2). Uncovered loops leave the verdict
+// Memory-access locality is recorded dynamically (§3.4.2). The paper runs
+// an instrumented build of the recompiled binary; here the build runs as it
+// is, and the VM reports every execution of an access's tagged instruction
+// (lowering's site table, vm.Machine.RecordAccesses) to Recorder.Record,
+// which classifies the address against the emulated stack the runtime
+// allocated for the accessing thread. Uncovered loops leave the verdict
 // conservative: fences are preserved (§3.4.3, false negatives).
 package spindet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/vm"
 )
-
-// ExtRecMem is the instrumentation runtime hook name.
-const ExtRecMem = "__polynima_recmem"
 
 // maxAddrsPerSite bounds the recorded address set per site.
 const maxAddrsPerSite = 64
@@ -54,142 +54,106 @@ func (c SiteClass) String() string {
 
 // SiteRec is the dynamic record of one memory access site. Local (own
 // emulated stack) accesses are normalized to stack-relative offsets — the
-// recorder controls each thread's stack allocation (§3.4.2), and distinct
-// threads' stacks are disjoint, so local-vs-local aliasing is exactly offset
-// equality. Shared accesses are recorded by raw address.
+// runtime allocates each thread's stack (§3.4.2), and distinct threads'
+// stacks are disjoint, so local-vs-local aliasing is exactly offset
+// equality. Shared accesses are recorded by raw address. Both sets hold at
+// most maxAddrsPerSite distinct values; a full set sets its overflow flag
+// on every further access, even of a value it holds.
 type SiteRec struct {
 	Class SiteClass
 	// Offs holds stack-relative offsets of local accesses.
-	Offs         map[uint64]bool
+	Offs         []uint64
 	OffsOverflow bool
 	// Addrs holds raw addresses (shared accesses, plus local ones for
 	// local-vs-shared comparisons).
-	Addrs    map[uint64]bool
+	Addrs    []uint64
 	Overflow bool
 	// Min/Max bound every raw address ever recorded (maintained even after
 	// the exact set overflows, so overflowed sites compare by range).
 	Min, Max uint64
 }
 
-// Recording maps SiteID -> observation.
+// Recording holds one record per SiteID: Sites[id] is site id's record,
+// ClassUnseen (the zero record) until the site executes.
 type Recording struct {
-	Sites map[int]*SiteRec
+	Sites []SiteRec
 }
 
-func newSiteRec() *SiteRec {
-	return &SiteRec{Class: ClassUnseen, Addrs: map[uint64]bool{}, Offs: map[uint64]bool{},
-		Min: ^uint64(0)}
-}
-
-func (r *SiteRec) bound(addr uint64) {
-	if addr < r.Min {
-		r.Min = addr
+// Site returns the record of an executed site, or nil for a site that
+// never executed.
+func (r *Recording) Site(id int) *SiteRec {
+	if id < 0 || id >= len(r.Sites) || r.Sites[id].Class == ClassUnseen {
+		return nil
 	}
-	if addr > r.Max {
-		r.Max = addr
-	}
+	return &r.Sites[id]
 }
 
-// Recorder collects dynamic memory-access records from an instrumented run.
-// It supplies the __polynima_recmem external and a thread-aware override of
-// the emulated-stack allocator so it knows each thread's stack range.
-type Recorder struct {
-	rec    *Recording
-	stacks map[int][2]uint64 // thread ID -> [base, end) of its emulated stack
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		rec:    &Recording{Sites: map[int]*SiteRec{}},
-		stacks: map[int][2]uint64{},
-	}
-}
-
-// Recording returns the collected records.
-func (r *Recorder) Recording() *Recording { return r.rec }
-
-// Exts returns the host functions an instrumented machine needs.
-func (r *Recorder) Exts() map[string]vm.ExtFunc {
-	return map[string]vm.ExtFunc{
-		// Override the runtime's stack allocator so the recorder controls
-		// (and remembers) each thread's emulated-stack allocation.
-		"__polynima_thread_init": func(m *vm.Machine, t *vm.Thread) error {
-			const sz = 1 << 20
-			base := m.Malloc(sz)
-			r.stacks[t.ID] = [2]uint64{base, base + sz}
-			top := (base + sz - 64) &^ 15
-			t.Regs[0] = top // rax
-			return nil
-		},
-		ExtRecMem: func(m *vm.Machine, t *vm.Thread) error {
-			site := int(int64(t.Regs[7])) // rdi
-			addr := t.Regs[6]             // rsi
-			rec := r.rec.Sites[site]
-			if rec == nil {
-				rec = newSiteRec()
-				r.rec.Sites[site] = rec
-			}
-			rng, ok := r.stacks[t.ID]
-			local := ok && addr >= rng[0] && addr < rng[1]
-			if local {
-				if rec.Class == ClassUnseen {
-					rec.Class = ClassLocal
-				}
-				off := addr - rng[0]
-				if len(rec.Offs) < maxAddrsPerSite {
-					rec.Offs[off] = true
-				} else {
-					rec.OffsOverflow = true
-				}
-			} else {
-				rec.Class = ClassShared
-			}
-			rec.bound(addr)
-			if len(rec.Addrs) < maxAddrsPerSite {
-				rec.Addrs[addr] = true
-			} else {
-				rec.Overflow = true
-			}
-			return nil
-		},
-	}
-}
-
-// Instrument inserts a __polynima_recmem call before every original-program
-// memory access site (loads, stores, atomics) of the module. It returns the
-// number of instrumented sites. Instrument the optimized module Analyze will
-// see, or a build identical to it: the recording then covers every site
-// Analyze looks up under the same ID, and since no optimization pass runs
-// after the calls go in, none blocks forwarding or promotion around an
-// access.
-func Instrument(m *ir.Module) int {
+// Observed counts the executed sites.
+func (r *Recording) Observed() int {
 	n := 0
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for i := 0; i < len(b.Insts); i++ {
-				v := b.Insts[i]
-				if v.SiteID == 0 {
-					continue
-				}
-				switch v.Op {
-				case ir.OpLoad, ir.OpStore, ir.OpAtomicRMW, ir.OpCmpXchg:
-				default:
-					continue
-				}
-				n++
-				id := f.NewValue(ir.OpConst)
-				id.Const = int64(v.SiteID)
-				call := f.NewValue(ir.OpCallExt)
-				call.ExtName = ExtRecMem
-				call.SetArgs(id, v.Args[0])
-				b.InsertBefore(id, i)
-				b.InsertBefore(call, i+1)
-				i += 2
-			}
+	for i := range r.Sites {
+		if r.Sites[i].Class != ClassUnseen {
+			n++
 		}
 	}
 	return n
+}
+
+// Recorder collects a Recording over one or more recording runs.
+type Recorder struct {
+	rec Recording
+}
+
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// Recording returns the collected records.
+func (r *Recorder) Recording() *Recording { return &r.rec }
+
+// Record notes that thread t accessed addr at site. It is the machine's
+// access hook (vm.Machine.RecordAccesses): an address inside t's emulated
+// stack (vm.Thread.EmuStack) is local, any other address shared.
+func (r *Recorder) Record(t *vm.Thread, site int, addr uint64) {
+	if site >= len(r.rec.Sites) {
+		r.rec.Sites = append(r.rec.Sites, make([]SiteRec, site+1-len(r.rec.Sites))...)
+	}
+	rec := &r.rec.Sites[site]
+	if rec.Class == ClassUnseen {
+		rec.Min, rec.Max = addr, addr
+	} else if addr < rec.Min {
+		rec.Min = addr
+	} else if addr > rec.Max {
+		rec.Max = addr
+	}
+	if stk := t.EmuStack; addr >= stk[0] && addr < stk[1] {
+		if rec.Class == ClassUnseen {
+			rec.Class = ClassLocal
+		}
+		if addToSet(&rec.Offs, addr-stk[0]) {
+			rec.OffsOverflow = true
+		}
+	} else {
+		rec.Class = ClassShared
+	}
+	if addToSet(&rec.Addrs, addr) {
+		rec.Overflow = true
+	}
+}
+
+// addToSet inserts x into a site's set unless the set is full, and reports
+// whether it was full.
+func addToSet(set *[]uint64, x uint64) (full bool) {
+	s := *set
+	if len(s) >= maxAddrsPerSite {
+		return true
+	}
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == x {
+			return false
+		}
+	}
+	*set = append(s, x)
+	return false
 }
 
 // LoopVerdict reports the analysis of one natural loop.
@@ -257,7 +221,7 @@ coverage:
 			if in.SiteID == 0 {
 				continue
 			}
-			if r := rec.Sites[in.SiteID]; r == nil || r.Class == ClassUnseen {
+			if rec.Site(in.SiteID) == nil {
 				v.Covered = false
 				v.Reason = fmt.Sprintf("site %d at %#x not covered by the provided inputs", in.SiteID, in.OrigPC)
 				break coverage
@@ -386,8 +350,8 @@ func (a *analyzer) influence(v *ir.Value, visiting map[*ir.Value]bool, depth int
 // sites are external dependencies; local sites are chased through the
 // intra-loop stores to the same recorded locations (Listing 3 (b)-(d)).
 func (a *analyzer) loadInfluence(v *ir.Value, visiting map[*ir.Value]bool, depth int) influenceResult {
-	rec := a.rec.Sites[v.SiteID]
-	if rec == nil || rec.Class == ClassUnseen {
+	rec := a.rec.Site(v.SiteID)
+	if rec == nil {
 		return influenceResult{external: true} // uncovered: conservative
 	}
 	if rec.Class == ClassShared {
@@ -401,8 +365,8 @@ func (a *analyzer) loadInfluence(v *ir.Value, visiting map[*ir.Value]bool, depth
 			if in.Op != ir.OpStore || in.SiteID == 0 {
 				continue
 			}
-			srec := a.rec.Sites[in.SiteID]
-			if srec == nil || srec.Class == ClassUnseen {
+			srec := a.rec.Site(in.SiteID)
+			if srec == nil {
 				continue // store never executed on these inputs
 			}
 			if !addrsOverlap(rec, srec) {
@@ -499,12 +463,9 @@ func addrsOverlap(a, b *SiteRec) bool {
 	return setsIntersect(a.Addrs, b.Addrs)
 }
 
-func setsIntersect(a, b map[uint64]bool) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for x := range a {
-		if b[x] {
+func setsIntersect(a, b []uint64) bool {
+	for _, x := range a {
+		if slices.Contains(b, x) {
 			return true
 		}
 	}

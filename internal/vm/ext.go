@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/mx"
@@ -105,13 +107,17 @@ var builtinExts = map[string]extDef{
 	}, 30},
 
 	"calloc": {func(m *Machine, t *Thread) error {
-		n := arg(t, 0) * arg(t, 1)
+		// A size that wraps, in the product or in Malloc's header and
+		// rounding, would hand the guest a block smaller than it asked for.
+		hi, n := bits.Mul64(arg(t, 0), arg(t, 1))
+		if hi != 0 || n > math.MaxUint64-mallocHeaderSize-15 {
+			return fmt.Errorf("calloc(%d, %d): size overflows", arg(t, 0), arg(t, 1))
+		}
 		a := m.Malloc(n + mallocHeaderSize)
 		m.Mem.Store(a, n+mallocHeaderSize, 8)
-		// Malloc'd pages are freshly mapped (zero) or recycled; zero
-		// explicitly to be safe.
-		zero := make([]byte, n)
-		m.Mem.WriteBytes(a+mallocHeaderSize, zero)
+		// Malloc'd pages are freshly mapped (zero) or recycled: clear the
+		// block in guest memory.
+		m.Mem.Zero(a+mallocHeaderSize, n)
 		m.charge(t, n/16)
 		ret(t, a+mallocHeaderSize)
 		return nil
@@ -271,11 +277,13 @@ var builtinExts = map[string]extDef{
 	// --- recompiled-binary runtime (Polynima) ---------------------------
 
 	// __polynima_thread_init allocates this thread's emulated program
-	// stack and returns its (aligned) top. Called once per thread by the
-	// callback wrappers when they observe an uninitialized TLS (§3.3.2).
+	// stack, records its range in t.EmuStack and returns its (aligned) top.
+	// Called once per thread by the callback wrappers when they observe an
+	// uninitialized TLS (§3.3.2).
 	"__polynima_thread_init": {func(m *Machine, t *Thread) error {
 		const emuStackSize = 1 << 20
 		base := m.Malloc(emuStackSize)
+		t.EmuStack = [2]uint64{base, base + emuStackSize}
 		top := (base + emuStackSize - 64) &^ 15
 		ret(t, top)
 		return nil

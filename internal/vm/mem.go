@@ -190,6 +190,25 @@ func (m *Memory) WriteBytes(addr uint64, p []byte) {
 	}
 }
 
+// Zero clears [addr, addr+n) of mapped memory in place, one page at a time.
+// A reserved page already reads as zero and stays unmaterialized, so
+// clearing costs no host allocation whatever n is.
+func (m *Memory) Zero(addr, n uint64) {
+	if m.onWrite != nil && addr < m.watchHi && addr+n > m.watchLo {
+		m.noteWrite(addr, addr+n)
+	}
+	for n > 0 {
+		base := addr &^ (pageSize - 1)
+		off := addr - base
+		c := min(pageSize-off, n)
+		if pg := m.pages[base]; pg != nil {
+			clear(pg[off : off+c])
+		}
+		addr += c
+		n -= c
+	}
+}
+
 // ReadBytes copies n bytes of guest memory at addr into a new slice. It
 // returns false if any byte is unmapped.
 func (m *Memory) ReadBytes(addr, n uint64) ([]byte, bool) {

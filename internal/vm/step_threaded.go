@@ -22,11 +22,17 @@ import (
 //     early; inline same-page control flow; and fused CMP/TEST/SUB+JCC
 //     pairs (selected at compile() time).
 //
+// A machine recording memory accesses (record.go) swaps each tagged
+// offset's handler for one that reports the access and then runs the
+// original. Tagged offsets stay in their flat runs but leave the inline
+// micro-op table, so both loops reach every access through that handler.
+//
 // The fast loop must match the per-step loop bit for bit: same faults at
 // the same PCs, same hook call sites, and — because batching is provably
 // equivalent to the per-step scheduler fast path — the same interleavings
 // at every seed. Deviations are bugs; the identity matrix in
-// dispatch_test.go and fuzz_test.go is the enforcement.
+// dispatch_test.go and fuzz_test.go is the enforcement, and record_test.go
+// holds recording machines to it too.
 
 // handler executes one predecoded instruction. pc is the
 // instruction address, next the fallthrough address; t.PC == next on entry.
@@ -436,7 +442,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 			m.icBase, m.icPage = base, cp
 		}
 		if !cp.compiled {
-			cp.compile(m.weak)
+			m.compile(cp, base)
 		}
 		// Same-page dispatch loop: fall out to the outer loop only when
 		// control leaves the page or a store invalidated it.
@@ -928,7 +934,7 @@ func (m *Machine) stepBatchCounted(t *Thread, budget int) int {
 			ctr.ICacheHits++
 		}
 		if !cp.compiled {
-			cp.compile(m.weak)
+			m.compile(cp, base)
 		}
 		off := pc & (pageSize - 1)
 		d := &cp.disp[off]

@@ -61,6 +61,10 @@ type Thread struct {
 	State     ThreadState
 	ExitValue uint64 // RAX when the entry function returned
 	StackLo   uint64 // lowest mapped stack address (for diagnostics)
+	// EmuStack is [base, end) of the emulated program stack the
+	// recompiled-binary runtime (__polynima_thread_init) allocated for this
+	// thread; zero until it does.
+	EmuStack [2]uint64
 
 	// sbuf is this thread's store buffer in weak-ordering machine mode
 	// (weak.go); always empty on the default TSO machine.
@@ -192,6 +196,11 @@ type Machine struct {
 	// spawns (clone-style entry points) and host-library callbacks (qsort
 	// comparators). The callback-pruning analysis (§3.3.3) attaches here.
 	OnGuestEntry func(fn uint64)
+
+	// access recording (record.go): the host function and the tagged
+	// offsets per code page base; recTags is nil when recording is off.
+	recFn   AccessFunc
+	recTags map[uint64][]accessTag
 
 	// scheduler bookkeeping. runFuel and extFrom belong to the fast batch
 	// loop's sole-runnable grant extension (step_threaded.go): runFuel is

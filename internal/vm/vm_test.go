@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -604,4 +605,71 @@ func TestMallocFree(t *testing.T) {
 		b.CallExt("exit")
 	})
 	mustExit(t, run(t, img), 99)
+}
+
+// TestCallocOverflowFaults: a calloc whose size wraps, in count*size or in
+// the allocation header, faults instead of returning a short block.
+func TestCallocOverflowFaults(t *testing.T) {
+	for _, c := range []struct{ count, size int64 }{
+		{1 << 33, 1 << 31}, // count*size wraps to 0
+		{-1, 3},            // wraps to a small positive size
+		{1, -8},            // fits, but the header wraps it
+	} {
+		img := build(t, func(b *asm.Builder) {
+			b.Entry("main")
+			b.Label("main")
+			b.MovRI(mx.RDI, c.count)
+			b.MovRI(mx.RSI, c.size)
+			b.CallExt("calloc")
+			b.MovRI(mx.RDI, 0)
+			b.CallExt("exit")
+		})
+		res := run(t, img)
+		if res.Fault == nil || !strings.Contains(res.Fault.Reason, "calloc") {
+			t.Errorf("calloc(%#x, %#x): fault %v, want a calloc size fault", uint64(c.count), uint64(c.size), res.Fault)
+		}
+	}
+}
+
+// TestCallocZeroesInGuestMemory: calloc clears a recycled block, and a large
+// block costs no host buffer of its size (reserved pages stay unmaterialized).
+func TestCallocZeroesInGuestMemory(t *testing.T) {
+	img := build(t, func(b *asm.Builder) {
+		b.Entry("main")
+		b.Label("main")
+		// p = malloc(64); dirty p[8]; free(p).
+		b.MovRI(mx.RDI, 64)
+		b.CallExt("malloc")
+		b.MovRR(mx.R12, mx.RAX)
+		b.I(mx.Inst{Op: mx.STOREI64, Base: mx.R12, Disp: 8, Imm: 0x55})
+		b.MovRR(mx.RDI, mx.R12)
+		b.CallExt("free")
+		// q = calloc(8, 8) recycles p's block: print q-p, keep q[8].
+		b.MovRI(mx.RDI, 8)
+		b.MovRI(mx.RSI, 8)
+		b.CallExt("calloc")
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.R13, Base: mx.RAX, Disp: 8})
+		b.MovRR(mx.RDI, mx.RAX)
+		b.I(mx.Inst{Op: mx.SUBRR, Dst: mx.RDI, Src: mx.R12})
+		b.CallExt("print_i64")
+		// r = calloc(1<<26, 1); r[last] must read zero too.
+		b.MovRI(mx.RDI, 1<<26)
+		b.MovRI(mx.RSI, 1)
+		b.CallExt("calloc")
+		b.I(mx.Inst{Op: mx.LOAD8, Dst: mx.R14, Base: mx.RAX, Disp: 1<<26 - 1})
+		b.MovRR(mx.RDI, mx.R13)
+		b.I(mx.Inst{Op: mx.ADDRR, Dst: mx.RDI, Src: mx.R14})
+		b.CallExt("exit")
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := run(t, img)
+	runtime.ReadMemStats(&after)
+	mustExit(t, res, 0)
+	if res.Output != "0\n" {
+		t.Fatalf("calloc did not recycle the freed block: q-p = %q", res.Output)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("a 64 MiB calloc allocated %d host bytes", grew)
+	}
 }

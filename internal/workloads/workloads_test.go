@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/lifter"
 	"repro/internal/lower"
 	"repro/internal/mx"
@@ -160,10 +161,10 @@ func TestCKitLocksDetectedAsSpinning(t *testing.T) {
 }
 
 // TestFenceOptimizeMatchesUnoptimizedInstrumentation pins the contract that
-// lets FenceOptimize instrument the optimized build it analyzes:
-// instrumenting the optimized build records every analyzed site, so the
-// Report equals the one built from an unoptimized instrumented build of the
-// same graph.
+// lets FenceOptimize record on the optimized build it analyzes: the VM's
+// access hook on that build records every analyzed site, so the Report
+// equals the one built the old way, from an unoptimized build instrumented
+// with one external call per access.
 func TestFenceOptimizeMatchesUnoptimizedInstrumentation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -198,9 +199,44 @@ func TestFenceOptimizeMatchesUnoptimizedInstrumentation(t *testing.T) {
 	}
 }
 
-// unoptimizedInstrumentationReport is FenceOptimize with the instrumented
-// module lowered straight from the lift: instrument, lower, record one run,
-// then analyze a second, optimized lift of the same graph.
+// recMem is the external the instrumented reference build calls before
+// every access site, with the site ID and the address in its first two
+// argument registers. It forwards the access to the recorder.
+const recMem = "__polynima_recmem"
+
+// instrument inserts a recMem call before every original-program memory
+// access site (loads, stores, atomics) of the module: the instrumentation
+// the recorder was fed through before the VM's access hook replaced it.
+func instrument(m *ir.Module) {
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			for i := 0; i < len(b.Insts); i++ {
+				v := b.Insts[i]
+				if v.SiteID == 0 {
+					continue
+				}
+				switch v.Op {
+				case ir.OpLoad, ir.OpStore, ir.OpAtomicRMW, ir.OpCmpXchg:
+				default:
+					continue
+				}
+				id := f.NewValue(ir.OpConst)
+				id.Const = int64(v.SiteID)
+				call := f.NewValue(ir.OpCallExt)
+				call.ExtName = recMem
+				call.SetArgs(id, v.Args[0])
+				b.InsertBefore(id, i)
+				b.InsertBefore(call, i+1)
+				i += 2
+			}
+		}
+	}
+}
+
+// unoptimizedInstrumentationReport is FenceOptimize with the old recording:
+// instrument the module lifted straight from the graph, lower it, record
+// one run through the recMem external, then analyze a second, optimized
+// lift of the same graph.
 func unoptimizedInstrumentationReport(t *testing.T, p *core.Project, tgt *mx.Target, in core.Input) *spindet.Report {
 	t.Helper()
 	lopts := lifter.Options{InsertFences: true, NaiveAtomics: p.Opts.NaiveAtomics}
@@ -208,7 +244,7 @@ func unoptimizedInstrumentationReport(t *testing.T, p *core.Project, tgt *mx.Tar
 	if err != nil {
 		t.Fatal(err)
 	}
-	spindet.Instrument(lf.Mod)
+	instrument(lf.Mod)
 	res, err := lower.LowerWithOptions(lf, lower.Options{Target: tgt})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +254,9 @@ func unoptimizedInstrumentationReport(t *testing.T, p *core.Project, tgt *mx.Tar
 	for k, v := range in.Exts {
 		exts[k] = v
 	}
-	for k, v := range rec.Exts() {
-		exts[k] = v
+	exts[recMem] = func(m *vm.Machine, t *vm.Thread) error {
+		rec.Record(t, int(int64(t.Regs[mx.RDI])), t.Regs[mx.RSI])
+		return nil
 	}
 	m, err := vm.NewWithExts(res.Img, in.Seed, exts)
 	if err != nil {
