@@ -18,7 +18,7 @@ func TestMaxEncodedLen(t *testing.T) {
 }
 
 // pageCorpus builds a byte buffer mixing well-formed encodings with random
-// garbage, so DecodePage is checked over valid instructions, BAD bytes, and
+// garbage, so Decode is checked over valid instructions, BAD bytes, and
 // every misaligned suffix in between.
 func pageCorpus(size int) []byte {
 	rng := rand.New(rand.NewSource(42))
@@ -44,31 +44,11 @@ func pageCorpus(size int) []byte {
 	return code[:size]
 }
 
-// TestDecodePageMatchesDecode pins the predecode contract: at every byte
-// offset of a page, DecodePage must report exactly what a linear Decode of
-// the page-plus-tail bytes reports at that offset.
-func TestDecodePageMatchesDecode(t *testing.T) {
-	const size = 1024
-	buf := pageCorpus(size + MaxEncodedLen - 1)
-	page, tail := buf[:size], buf[size:]
-
-	insts, lens := DecodePage(page, tail)
-	if len(insts) != size || len(lens) != size {
-		t.Fatalf("DecodePage sizes = %d/%d, want %d", len(insts), len(lens), size)
-	}
-	for i := 0; i < size; i++ {
-		wantInst, wantN := Decode(buf[i:])
-		if insts[i] != wantInst || int(lens[i]) != wantN {
-			t.Fatalf("offset %d: DecodePage = %+v len %d; Decode = %+v len %d",
-				i, insts[i], lens[i], wantInst, wantN)
-		}
-	}
-}
-
-// TestDecodePageTruncation checks both sides of the page boundary: without
-// tail bytes an instruction cut off by the end of the page decodes as BAD
-// (exactly like Decode on a short buffer), and with the successor's bytes
-// supplied as tail the same instruction decodes fully.
+// TestDecodePageTruncation checks both sides of a page boundary, as the
+// VM's predecode sees them: decoding over a window that ends at the page
+// (its section ends there) reports an instruction cut off by the boundary
+// as BAD, exactly like Decode on any short buffer, and the same offset
+// decodes fully once the window runs on into the successor's bytes.
 func TestDecodePageTruncation(t *testing.T) {
 	var buf []byte
 	for len(buf) < 61 {
@@ -76,16 +56,13 @@ func TestDecodePageTruncation(t *testing.T) {
 	}
 	straddler := Inst{Op: MOVRI, Dst: RAX, Imm: 0x1122334455667788}
 	buf = straddler.Encode(buf) // starts at 61, needs 10 bytes
-	page, tail := buf[:64], buf[64:]
+	page := buf[:64]
 
-	noTail, _ := DecodePage(page, nil)
-	if noTail[61].Op != BAD {
-		t.Fatalf("truncated instruction decoded as %v, want BAD", noTail[61].Op)
+	if inst, n := Decode(page[61:]); inst.Op != BAD || n != 1 {
+		t.Fatalf("truncated instruction decoded as %v len %d, want BAD len 1", inst.Op, n)
 	}
-
-	withTail, lens := DecodePage(page, tail)
-	if withTail[61] != straddler || int(lens[61]) != EncodedLen(MOVRI) {
+	if inst, n := Decode(buf[61:]); inst != straddler || n != EncodedLen(MOVRI) {
 		t.Fatalf("straddling instruction = %+v len %d; want %+v len %d",
-			withTail[61], lens[61], straddler, EncodedLen(MOVRI))
+			inst, n, straddler, EncodedLen(MOVRI))
 	}
 }

@@ -5,31 +5,37 @@ import (
 	"testing"
 )
 
-// FuzzDecodePage fuzzes the machine-code decoders every job's image reaches,
-// through disassembly (Decode) and the VM's predecoded page cache
-// (DecodePage). For arbitrary page and tail bytes nothing may panic; at
-// every offset DecodePage's entry must equal Decode on the page-plus-tail
-// bytes from there; and every instruction that decodes must re-encode to
-// exactly the n bytes it was decoded from, because Decode reads every
-// operand byte its layout has, so the encoding is canonical. The seeds are
-// pageCorpus's mix of encodings and garbage; the committed corpus holds the
-// .text of histogram, ck_mcs and memcached_like at O2, split into a page
-// and a 9-byte tail.
+// FuzzDecodePage fuzzes the machine-code decoder every job's image reaches,
+// through disassembly and the VM's per-offset predecode, which both call
+// Decode. The inputs are a page and the tail of bytes that follow it. At
+// every offset of the page nothing may panic, and Decode over the
+// page-plus-tail bytes from there must return a length within them. An
+// instruction that decodes must re-encode to exactly the n bytes it was
+// decoded from, because Decode reads every operand byte its layout has, so
+// the encoding is canonical. And a window that ends at the page end, as the
+// predecode clamps one at a section end, must decode the same instruction
+// when it fits and BAD (length 1) when the page boundary cuts it off. The
+// seeds are pageCorpus's mix of encodings and garbage; the committed corpus
+// holds the .text of histogram, ck_mcs and memcached_like at O2, split into
+// a page and a 9-byte tail.
 func FuzzDecodePage(f *testing.F) {
 	buf := pageCorpus(256 + MaxEncodedLen - 1)
 	f.Add(buf[:256], buf[256:])
 	f.Add(buf[:64], []byte(nil))
 	f.Fuzz(func(t *testing.T, page, tail []byte) {
-		insts, lens := DecodePage(page, tail)
-		if len(insts) != len(page) || len(lens) != len(page) {
-			t.Fatalf("DecodePage sizes = %d/%d, want %d", len(insts), len(lens), len(page))
-		}
 		code := append(append([]byte(nil), page...), tail...)
 		for i := range page {
 			inst, n := Decode(code[i:])
-			if insts[i] != inst || int(lens[i]) != n {
-				t.Fatalf("offset %d: DecodePage = %+v len %d; Decode = %+v len %d",
-					i, insts[i], lens[i], inst, n)
+			if n < 1 || n > len(code)-i {
+				t.Fatalf("offset %d: Decode length %d outside the %d bytes left", i, n, len(code)-i)
+			}
+			clamped, cn := Decode(page[i:])
+			switch {
+			case n <= len(page)-i && (clamped != inst || cn != n):
+				t.Fatalf("offset %d: clamped window decodes %+v len %d; full window %+v len %d",
+					i, clamped, cn, inst, n)
+			case n > len(page)-i && (clamped.Op != BAD || cn != 1):
+				t.Fatalf("offset %d: window cut at the page end decodes %+v len %d, want BAD len 1", i, clamped, cn)
 			}
 			if inst.Op == BAD {
 				continue

@@ -450,30 +450,6 @@ func Decode(code []byte) (Inst, int) {
 	return i, n
 }
 
-// DecodePage decodes one instruction at every byte offset of page, the unit
-// of the interpreter's predecoded instruction cache. tail holds up to
-// MaxEncodedLen-1 bytes that follow page in the address space, so an
-// instruction whose opcode byte sits near the end of page decodes with its
-// full operand bytes; pass an empty tail when nothing follows (the page ends
-// at a section boundary), in which case a truncated final instruction decodes
-// as BAD, exactly as Decode on the truncated slice would.
-//
-// The returned slices are indexed by offset into page: insts[i] and lens[i]
-// are Decode's results for the instruction whose opcode byte is page[i].
-func DecodePage(page, tail []byte) ([]Inst, []uint8) {
-	code := make([]byte, 0, len(page)+len(tail))
-	code = append(code, page...)
-	code = append(code, tail...)
-	insts := make([]Inst, len(page))
-	lens := make([]uint8, len(page))
-	for i := range page {
-		inst, n := Decode(code[i:])
-		insts[i] = inst
-		lens[i] = uint8(n)
-	}
-	return insts, lens
-}
-
 // valid reports whether the decoded operand fields are in range, so that
 // random bytes usually decode to BAD rather than to nonsense operands.
 func (i Inst) valid() bool {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/image"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -115,3 +116,50 @@ func sameResult(a, b vm.Result) bool {
 // pagePad positions the "patch" label one byte before the 4KiB page
 // boundary (pages are 1<<12 bytes; NOP encodes in 1 byte).
 const pagePad = 1<<12 - 1
+
+// TestLazyCompileMatchesEager pins per-offset compilation to the whole-page
+// pass it replaced. Every offset of every executable page of every
+// workload's O2 image, on both machines, and of a recompiled image with two
+// executable sections, is compiled in two random orders, so flat-run chains
+// start mid-run and join chains compiled before them; each offset's
+// instruction and dispatch entry must equal mx.Decode plus the whole-page
+// fusion and backward flat-run pass over the same bytes.
+func TestLazyCompileMatchesEager(t *testing.T) {
+	type cell struct {
+		img  *image.Image
+		exts map[string]vm.ExtFunc
+	}
+	var cs []cell
+	for _, w := range workloads.All() {
+		img, err := w.Compile(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exts := w.Input().Exts
+		cs = append(cs, cell{img, exts}, cell{weakClone(img), exts})
+	}
+	img, err := workloads.ByName("linear_regression").Compile(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProject(img, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := p.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs = append(cs, cell{rec, nil})
+	for _, c := range cs {
+		for _, seed := range []int64{1, 2} {
+			msg, err := vm.LazyEagerMismatch(c.img, c.exts, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg != "" {
+				t.Fatalf("%s (%s), order %d: %s", c.img.Name, c.img.Machine, seed, msg)
+			}
+		}
+	}
+}

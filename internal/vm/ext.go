@@ -62,12 +62,12 @@ var builtinExts = map[string]extDef{
 	}, 10},
 
 	"write": {func(m *Machine, t *Thread) error {
-		buf, ok := m.Mem.ReadBytes(arg(t, 0), arg(t, 1))
-		if !ok {
-			return fmt.Errorf("bad buffer %#x+%d", arg(t, 0), arg(t, 1))
+		p, n := arg(t, 0), arg(t, 1)
+		if !m.Mem.Mapped(p, n) {
+			return fmt.Errorf("bad buffer %#x+%d", p, n)
 		}
-		m.Out.Write(buf)
-		ret(t, arg(t, 1))
+		m.Mem.Visit(p, n, func(b []byte) { m.Out.Write(b) })
+		ret(t, n)
 		return nil
 	}, 40},
 
@@ -99,7 +99,12 @@ var builtinExts = map[string]extDef{
 	}, 5},
 
 	"malloc": {func(m *Machine, t *Thread) error {
+		// A size that wraps in Malloc's header or rounding would hand the
+		// guest a block smaller than it asked for.
 		n := arg(t, 0)
+		if n > math.MaxUint64-mallocHeaderSize-15 {
+			return fmt.Errorf("malloc(%d): size overflows", n)
+		}
 		a := m.Malloc(n + mallocHeaderSize)
 		m.Mem.Store(a, n+mallocHeaderSize, 8)
 		ret(t, a+mallocHeaderSize)
@@ -117,7 +122,7 @@ var builtinExts = map[string]extDef{
 		m.Mem.Store(a, n+mallocHeaderSize, 8)
 		// Malloc'd pages are freshly mapped (zero) or recycled: clear the
 		// block in guest memory.
-		m.Mem.Zero(a+mallocHeaderSize, n)
+		m.Mem.Fill(a+mallocHeaderSize, n, 0)
 		m.charge(t, n/16)
 		ret(t, a+mallocHeaderSize)
 		return nil
@@ -136,28 +141,31 @@ var builtinExts = map[string]extDef{
 		return nil
 	}, 15},
 
+	// memcpy and memset, like write and qsort's swap, check their ranges
+	// first and then work page by page in guest memory: no host buffer
+	// grows with a size the guest chose.
 	"memcpy": {func(m *Machine, t *Thread) error {
-		n := arg(t, 2)
-		buf, ok := m.Mem.ReadBytes(arg(t, 1), n)
-		if !ok {
+		dst, src, n := arg(t, 0), arg(t, 1), arg(t, 2)
+		if !m.Mem.Mapped(src, n) {
 			return fmt.Errorf("memcpy source unmapped")
 		}
-		m.Mem.WriteBytes(arg(t, 0), buf)
+		if !m.Mem.Mapped(dst, n) {
+			return fmt.Errorf("memcpy destination unmapped")
+		}
+		m.Mem.Copy(dst, src, n)
 		m.charge(t, n/8)
-		ret(t, arg(t, 0))
+		ret(t, dst)
 		return nil
 	}, 20},
 
 	"memset": {func(m *Machine, t *Thread) error {
-		n := arg(t, 2)
-		buf := make([]byte, n)
-		c := byte(arg(t, 1))
-		for i := range buf {
-			buf[i] = c
+		dst, n := arg(t, 0), arg(t, 2)
+		if !m.Mem.Mapped(dst, n) {
+			return fmt.Errorf("memset destination unmapped")
 		}
-		m.Mem.WriteBytes(arg(t, 0), buf)
+		m.Mem.Fill(dst, n, byte(arg(t, 1)))
 		m.charge(t, n/8)
-		ret(t, arg(t, 0))
+		ret(t, dst)
 		return nil
 	}, 20},
 
@@ -512,13 +520,10 @@ func (f *qsortFrame) swap(m *Machine, a, b int64) error {
 	if a == b {
 		return nil
 	}
-	x, ok1 := m.Mem.ReadBytes(f.elem(a), f.size)
-	y, ok2 := m.Mem.ReadBytes(f.elem(b), f.size)
-	if !ok1 || !ok2 {
+	if !m.Mem.Mapped(f.elem(a), f.size) || !m.Mem.Mapped(f.elem(b), f.size) {
 		return fmt.Errorf("qsort: unmapped element")
 	}
-	m.Mem.WriteBytes(f.elem(a), y)
-	m.Mem.WriteBytes(f.elem(b), x)
+	m.Mem.Swap(f.elem(a), f.elem(b), f.size)
 	return nil
 }
 

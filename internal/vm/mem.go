@@ -3,6 +3,8 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
+	"sort"
 )
 
 // pageSize is the granularity of the sparse guest address space.
@@ -26,12 +28,22 @@ type tlbEntry struct {
 // Memory is a sparse, paged, flat 64-bit guest address space. All threads of
 // a machine share one Memory; per-thread stacks are just disjoint regions of
 // it, which is what makes stack-escape and false-sharing hazards expressible.
+//
+// Memory is demand-zero. Map records a reservation, a range, at a cost that
+// does not grow with its size; page() materializes (allocates zeroed) each
+// reserved page on its first touch. So a 1 MiB stack the guest barely uses
+// costs a few pages, and a huge heap block costs one range until the guest
+// touches it. A byte is mapped if its page is materialized or reserved.
 type Memory struct {
-	// pages holds every mapped page. Pages are demand-zero: Map reserves a
-	// page with a nil entry, and page() materializes it (allocates it
-	// zeroed) on first touch, so a 1 MiB stack the guest barely uses costs
-	// a few pages, not 256.
+	// pages holds every materialized page.
 	pages map[uint64][]byte
+
+	// reserved holds Map's ranges, sorted, disjoint and never adjacent
+	// (touching ranges merge). Each is {first page base, last page base},
+	// inclusive, so the top page of the address space is representable. A
+	// materialized page may lie inside a range or, when WriteBytes created
+	// it, outside every range.
+	reserved [][2]uint64
 
 	// tlb is a direct-mapped translation cache in front of pages, so the
 	// hot fetch/load/store paths index an array instead of hashing into a
@@ -42,11 +54,12 @@ type Memory struct {
 	tlb [tlbSize]tlbEntry
 
 	// onWrite, when set, is called with the base of every page written
-	// through Store/WriteBytes that intersects one of watchRanges (page
-	// aligned, disjoint). The machine registers its executable ranges here
-	// so the predecoded instruction cache is invalidated when guest code
-	// is stored over (self-modifying or overwritten code). watchLo/watchHi
-	// bound all ranges for a cheap reject on the store fast path.
+	// through Store/WriteBytes (and the bulk writers below) that intersects
+	// one of watchRanges (page aligned, disjoint). The machine registers
+	// its executable ranges here so the predecoded instruction cache is
+	// invalidated when guest code is stored over (self-modifying or
+	// overwritten code). watchLo/watchHi bound all ranges for a cheap
+	// reject on the store fast path.
 	watchLo, watchHi uint64
 	watchRanges      [][2]uint64
 	onWrite          func(pageBase uint64)
@@ -122,9 +135,9 @@ func (m *Memory) page(addr uint64, create bool) ([]byte, uint64) {
 	if m.ctr != nil {
 		m.ctr.TLBMisses++
 	}
-	p, ok := m.pages[base]
+	p := m.pages[base]
 	if p == nil {
-		if !ok && !create {
+		if _, ok := m.reservation(base); !ok && !create {
 			return nil, 0
 		}
 		p = make([]byte, pageSize)
@@ -134,9 +147,20 @@ func (m *Memory) page(addr uint64, create bool) ([]byte, uint64) {
 	return p, addr - base
 }
 
+// reservation returns the reserved range holding the page at base, if any.
+func (m *Memory) reservation(base uint64) ([2]uint64, bool) {
+	r := m.reserved
+	i := sort.Search(len(r), func(k int) bool { return r[k][1] >= base })
+	if i < len(r) && r[i][0] <= base {
+		return r[i], true
+	}
+	return [2]uint64{}, false
+}
+
 // Mapped reports whether every byte of [addr, addr+n) is mapped, reserved
 // pages included. An empty range is trivially mapped; a range that wraps the
-// top of the address space is not.
+// top of the address space is not. The walk steps over a whole reserved
+// range at once, so its cost does not grow with n.
 func (m *Memory) Mapped(addr, n uint64) bool {
 	if n == 0 {
 		return true
@@ -145,20 +169,26 @@ func (m *Memory) Mapped(addr, n uint64) bool {
 	if last < addr {
 		return false
 	}
-	for p := addr >> pageShift; ; p++ {
-		if _, ok := m.pages[p<<pageShift]; !ok {
-			return false
+	end := last &^ (pageSize - 1)
+	for p := addr &^ (pageSize - 1); ; p += pageSize {
+		if _, ok := m.pages[p]; !ok {
+			r, ok := m.reservation(p)
+			if !ok {
+				return false
+			}
+			p = r[1]
 		}
-		if p == last>>pageShift {
+		if p >= end {
 			return true
 		}
 	}
 }
 
-// Map ensures [addr, addr+n) is mapped. New pages are only reserved: they
-// read as zero, and page() allocates each one on its first touch. A range
-// that would wrap the top of the address space is clamped to it, so mapping
-// the last page terminates instead of walking the whole address space.
+// Map ensures [addr, addr+n) is mapped. It records the range's pages as one
+// reservation, merged with any range it overlaps or touches, so its cost
+// does not grow with n: the pages read as zero, and page() allocates each
+// one on its first touch. A range that would wrap the top of the address
+// space is clamped to it.
 func (m *Memory) Map(addr, n uint64) {
 	if n == 0 {
 		return
@@ -167,14 +197,17 @@ func (m *Memory) Map(addr, n uint64) {
 	if last < addr {
 		last = ^uint64(0)
 	}
-	for a := addr &^ (pageSize - 1); ; a += pageSize {
-		if _, ok := m.pages[a]; !ok {
-			m.pages[a] = nil
-		}
-		if a == last&^(pageSize-1) {
-			break
-		}
+	lo, hi := addr&^(pageSize-1), last&^(pageSize-1)
+	r := m.reserved
+	// i is the first range ending at or after the page below lo, so it
+	// may touch [lo, hi]; every range from i that starts at or before the
+	// page above hi merges.
+	i := sort.Search(len(r), func(k int) bool { return lo == 0 || r[k][1] >= lo-pageSize })
+	j := i
+	for ; j < len(r) && (r[j][0] <= hi || r[j][0]-pageSize == hi); j++ {
+		lo, hi = min(lo, r[j][0]), max(hi, r[j][1])
 	}
+	m.reserved = slices.Replace(r, i, j, [2]uint64{lo, hi})
 }
 
 // WriteBytes copies p into guest memory at addr, mapping as needed.
@@ -190,44 +223,157 @@ func (m *Memory) WriteBytes(addr uint64, p []byte) {
 	}
 }
 
-// Zero clears [addr, addr+n) of mapped memory in place, one page at a time.
-// A reserved page already reads as zero and stays unmaterialized, so
-// clearing costs no host allocation whatever n is.
-func (m *Memory) Zero(addr, n uint64) {
+// Fill sets [addr, addr+n) of mapped memory to c in place, one page at a
+// time and with no host buffer; the caller checks Mapped first. Filling with
+// zero leaves reserved pages unmaterialized, as they already read as zero,
+// and a range spanning more pages than are materialized then visits just the
+// materialized ones, so clearing costs no allocation and no time that grows
+// with n.
+func (m *Memory) Fill(addr, n uint64, c byte) {
 	if m.onWrite != nil && addr < m.watchHi && addr+n > m.watchLo {
 		m.noteWrite(addr, addr+n)
 	}
-	for n > 0 {
-		base := addr &^ (pageSize - 1)
-		off := addr - base
-		c := min(pageSize-off, n)
-		if pg := m.pages[base]; pg != nil {
-			clear(pg[off : off+c])
+	m.fill(addr, n, c)
+}
+
+// fill is Fill without the write watch.
+func (m *Memory) fill(addr, n uint64, c byte) {
+	if n == 0 {
+		return
+	}
+	if c == 0 && n>>pageShift > uint64(len(m.pages)) {
+		last := addr + n - 1
+		for base, pg := range m.pages {
+			lo, hi := max(base, addr), min(base+pageSize-1, last)
+			if lo <= hi {
+				clear(pg[lo-base : hi-base+1])
+			}
 		}
-		addr += c
-		n -= c
+		return
+	}
+	for n > 0 {
+		off := addr & (pageSize - 1)
+		k := min(pageSize-off, n)
+		if c != 0 {
+			pg, _ := m.page(addr, false)
+			b := pg[off : off+k]
+			for i := range b {
+				b[i] = c
+			}
+		} else if pg := m.pages[addr-off]; pg != nil {
+			clear(pg[off : off+k])
+		}
+		addr += k
+		n -= k
+	}
+}
+
+// Copy copies n bytes from src to dst with memmove semantics (the result is
+// as if all of src were read before any of dst is written), one page-bounded
+// piece at a time and with no host buffer; the caller checks that both
+// ranges are mapped. A piece whose source page is unmaterialized reads as
+// zero, so it clears its destination instead, which leaves a reserved
+// destination page unmaterialized.
+func (m *Memory) Copy(dst, src, n uint64) {
+	if m.onWrite != nil && dst < m.watchHi && dst+n > m.watchLo {
+		m.noteWrite(dst, dst+n)
+	}
+	if dst <= src || dst-src >= n {
+		for n > 0 {
+			k := min(n, pageSize-src&(pageSize-1), pageSize-dst&(pageSize-1))
+			m.copyPiece(dst, src, k)
+			dst, src, n = dst+k, src+k, n-k
+		}
+		return
+	}
+	// dst overlaps the tail of src: copy backward, last piece first.
+	for n > 0 {
+		k := min(n, (src+n-1)&(pageSize-1)+1, (dst+n-1)&(pageSize-1)+1)
+		n -= k
+		m.copyPiece(dst+n, src+n, k)
+	}
+}
+
+// copyPiece copies k bytes from src to dst, each within one page.
+func (m *Memory) copyPiece(dst, src, k uint64) {
+	soff := src & (pageSize - 1)
+	sp := m.pages[src-soff]
+	if sp == nil {
+		m.fill(dst, k, 0)
+		return
+	}
+	dp, doff := m.page(dst, false)
+	copy(dp[doff:doff+k], sp[soff:soff+k])
+}
+
+// Swap exchanges the n bytes at a with the n bytes at b, one page-bounded
+// piece at a time and with no host buffer; the caller checks that both
+// ranges are mapped and that they do not overlap. A piece whose two pages
+// are both unmaterialized already matches and stays unmaterialized.
+func (m *Memory) Swap(a, b, n uint64) {
+	if m.onWrite != nil {
+		if a < m.watchHi && a+n > m.watchLo {
+			m.noteWrite(a, a+n)
+		}
+		if b < m.watchHi && b+n > m.watchLo {
+			m.noteWrite(b, b+n)
+		}
+	}
+	for n > 0 {
+		k := min(n, pageSize-a&(pageSize-1), pageSize-b&(pageSize-1))
+		if m.pages[a&^(pageSize-1)] != nil || m.pages[b&^(pageSize-1)] != nil {
+			pa, oa := m.page(a, false)
+			pb, ob := m.page(b, false)
+			x, y := pa[oa:oa+k], pb[ob:ob+k]
+			for i := range x {
+				x[i], y[i] = y[i], x[i]
+			}
+		}
+		a, b, n = a+k, b+k, n-k
+	}
+}
+
+// zeroPage stands in for the bytes of an unmaterialized page.
+var zeroPage [pageSize]byte
+
+// Visit calls fn with the bytes of [addr, addr+n) in order, one page-bounded
+// piece at a time, materializing nothing: an unmaterialized page's piece is
+// zeros. fn must not keep or modify its argument. The caller checks Mapped
+// first.
+func (m *Memory) Visit(addr, n uint64, fn func(p []byte)) {
+	for n > 0 {
+		off := addr & (pageSize - 1)
+		k := min(pageSize-off, n)
+		if pg := m.pages[addr-off]; pg != nil {
+			fn(pg[off : off+k])
+		} else {
+			fn(zeroPage[off : off+k])
+		}
+		addr += k
+		n -= k
 	}
 }
 
 // ReadBytes copies n bytes of guest memory at addr into a new slice. It
-// returns false if any byte is unmapped.
+// returns false, before allocating anything, if any byte is unmapped.
 func (m *Memory) ReadBytes(addr, n uint64) ([]byte, bool) {
+	if !m.Mapped(addr, n) {
+		return nil, false
+	}
 	out := make([]byte, n)
-	got := out
-	for n > 0 {
+	m.read(addr, out)
+	return out, true
+}
+
+// read copies len(dst) bytes of mapped guest memory at addr into dst,
+// materializing the pages it reads.
+func (m *Memory) read(addr uint64, dst []byte) {
+	for len(dst) > 0 {
 		pg, off := m.page(addr, false)
-		if pg == nil {
-			return nil, false
-		}
-		c := copy(got, pg[off:])
-		if uint64(c) > n {
-			c = int(n)
-		}
-		got = got[c:]
-		n -= uint64(c)
+		c := copy(dst, pg[off:])
+		dst = dst[c:]
 		addr += uint64(c)
 	}
-	return out, true
 }
 
 // fast single-page accessors; fall back to byte-wise for page straddles.

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -255,6 +257,159 @@ func TestThreadStacksDemandZero(t *testing.T) {
 		if n := materialized(m.Mem, th.StackLo, th.StackLo+stackSize); n > 2 {
 			t.Errorf("thread %d: stack materialized %d of %d pages, want at most 2",
 				th.ID, n, stackSize/pageSize)
+		}
+	}
+}
+
+// allocDuring returns the bytes the Go heap allocated while f ran.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMapReservesRange pins O(1) reservations: mapping 1 TiB records one
+// range and allocates (almost) nothing, every byte of it reads as mapped and
+// as zero, a store at its far end materializes just that page, and the
+// byte past its end stays unmapped.
+func TestMapReservesRange(t *testing.T) {
+	m := NewMemory()
+	const base, size = uint64(0x10_0000_0000), uint64(1 << 40)
+	if grew := allocDuring(func() { m.Map(base, size) }); grew >= 1<<20 {
+		t.Fatalf("Map of 1 TiB allocated %d bytes, want < 1 MiB", grew)
+	}
+	if len(m.reserved) != 1 || len(m.pages) != 0 {
+		t.Fatalf("Map of 1 TiB left %d ranges and %d pages, want 1 and 0", len(m.reserved), len(m.pages))
+	}
+	if !m.Mapped(base, size) || m.Mapped(base, size+1) || m.Mapped(base-1, 2) {
+		t.Fatal("Mapped disagrees with the reserved range's edges")
+	}
+	if !m.Store(base+size-8, 0x5a, 8) {
+		t.Fatal("store at the range's end failed")
+	}
+	if v, ok := m.Load(base+size-8, 8); !ok || v != 0x5a {
+		t.Fatalf("load back = %#x, %v; want 0x5a, true", v, ok)
+	}
+	if n := materialized(m, 0, ^uint64(0)); n != 1 {
+		t.Fatalf("%d pages materialized, want 1", n)
+	}
+	if v, ok := m.Load(base+size/2, 8); !ok || v != 0 {
+		t.Fatalf("load from the range's middle = %#x, %v; want 0, true", v, ok)
+	}
+	if m.Store(base+size, 1, 1) {
+		t.Fatal("store one byte past the range succeeded")
+	}
+}
+
+// TestMappedRangeEdges checks Mapped where ranges meet: reservations that
+// touch or overlap merge into one range, a guard page between two keeps them
+// apart, and a page WriteBytes created outside every range joins a
+// neighbouring reservation on either side.
+func TestMappedRangeEdges(t *testing.T) {
+	m := NewMemory()
+	const a = uint64(0x40_0000)
+	m.Map(a+4*pageSize, 2*pageSize) // [4, 6)
+	m.Map(a, 2*pageSize)            // [0, 2)
+	m.Map(a+2*pageSize+100, 10)     // page 2: touches [0, 2)
+	m.Map(a+3*pageSize, 1)          // page 3: touches page 2 and [4, 6)
+	if len(m.reserved) != 1 || m.reserved[0] != [2]uint64{a, a + 5*pageSize} {
+		t.Fatalf("reserved = %#x, want one range [%#x, %#x]", m.reserved, a, a+5*pageSize)
+	}
+	m.Map(a+pageSize, 8*pageSize) // overlaps, extends through page 8
+	m.Map(a+10*pageSize, 1)       // page 9 stays a guard
+	if len(m.reserved) != 2 || m.reserved[0] != [2]uint64{a, a + 8*pageSize} {
+		t.Fatalf("reserved = %#x, want [%#x, %#x] and page 10", m.reserved, a, a+8*pageSize)
+	}
+	for _, c := range []struct {
+		addr, n uint64
+		want    bool
+	}{
+		{a, 9 * pageSize, true},
+		{a + 9*pageSize - 1, 1, true},  // last byte of the merged range
+		{a + 9*pageSize - 4, 8, false}, // runs into the guard page
+		{a + 10*pageSize, pageSize, true},
+		{a + 10*pageSize - 1, 2, false}, // starts in the guard page
+		{a - 1, 1, false},
+		{a + 3*pageSize - 8, 16, true}, // across two merged reservations
+	} {
+		if got := m.Mapped(c.addr, c.n); got != c.want {
+			t.Errorf("Mapped(%#x, %d) = %v, want %v", c.addr, c.n, got, c.want)
+		}
+	}
+
+	// A page WriteBytes creates in the guard joins both neighbours.
+	m.WriteBytes(a+9*pageSize+8, []byte{1})
+	if !m.Mapped(a+9*pageSize-8, pageSize+16) {
+		t.Fatal("materialized page between two ranges breaks the span")
+	}
+	if len(m.reserved) != 2 {
+		t.Fatalf("WriteBytes changed the reservations: %#x", m.reserved)
+	}
+	// And a page created below the first range joins it from below.
+	m.WriteBytes(a-pageSize, []byte{1})
+	if !m.Mapped(a-8, 16) || m.Mapped(a-pageSize-1, 2) {
+		t.Fatal("materialized page below a range: wrong span")
+	}
+}
+
+// TestZeroReservedPages checks that clearing leaves reserved pages
+// unmaterialized and clears the materialized ones in place, both on a small
+// range (walked page by page) and on one spanning far more pages than are
+// materialized (which visits just those).
+func TestZeroReservedPages(t *testing.T) {
+	for _, size := range []uint64{64 * pageSize, 1 << 40} {
+		m := NewMemory()
+		const base = uint64(0x10_0000_0000)
+		m.Map(base, size)
+		m.Store(base+pageSize+8, 7, 8)
+		m.Store(base+size-8, 9, 8)
+		m.Store(base+8, 5, 8)
+		grew := allocDuring(func() { m.Fill(base+16, size-16, 0) })
+		if grew >= 1<<20 {
+			t.Errorf("size %#x: zero Fill allocated %d bytes", size, grew)
+		}
+		if n := materialized(m, 0, ^uint64(0)); n != 3 {
+			t.Errorf("size %#x: %d pages materialized after a zero Fill, want 3", size, n)
+		}
+		for _, c := range []struct{ addr, want uint64 }{
+			{base + 8, 5}, {base + pageSize + 8, 0}, {base + size - 8, 0},
+		} {
+			if v, _ := m.Load(c.addr, 8); v != c.want {
+				t.Errorf("size %#x: load %#x = %d after a zero Fill, want %d", size, c.addr, v, c.want)
+			}
+		}
+	}
+}
+
+// TestCopyIsMemmove checks Copy against Go's copy over one flat buffer, for
+// overlapping ranges in both directions, page-straddling offsets, and a
+// source that runs through an unmaterialized reserved page.
+func TestCopyIsMemmove(t *testing.T) {
+	const base, size = uint64(0x20_0000), uint64(8 * pageSize)
+	for _, c := range []struct{ dst, src, n uint64 }{
+		{100, 0, 3*pageSize + 50},                    // dst above src, overlapping
+		{0, 100, 3*pageSize + 50},                    // dst below src, overlapping
+		{5 * pageSize, 7, 2*pageSize + 1},            // disjoint
+		{pageSize - 3, 2*pageSize + 5, 2 * pageSize}, // through the hole
+		{2*pageSize + 9, 2*pageSize + 1, 3 * pageSize},
+	} {
+		m := NewMemory()
+		m.Map(base, size)
+		ref := make([]byte, size)
+		for i := range ref {
+			if p := uint64(i) / pageSize; p == 3 {
+				continue // page 3 stays unmaterialized
+			}
+			ref[i] = byte(i*7 + 1)
+			m.Store(base+uint64(i), uint64(ref[i]), 1)
+		}
+		m.Copy(base+c.dst, base+c.src, c.n)
+		copy(ref[c.dst:c.dst+c.n], ref[c.src:c.src+c.n])
+		got, _ := m.ReadBytes(base, size)
+		if !bytes.Equal(got, ref) {
+			t.Errorf("Copy(%#x, %#x, %d) differs from memmove", c.dst, c.src, c.n)
 		}
 	}
 }

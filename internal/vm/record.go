@@ -10,10 +10,10 @@ import "repro/internal/mx"
 // approach the ICFT tracer's OnIndirect takes in place of the paper's Pin
 // tool: the guest executes exactly the code it would without recording.
 //
-// compile() routes each tagged offset through a handler that reports the
-// access and then runs the page's own handler (the TSO or weak table's).
+// compileOne routes each tagged offset through a handler that reports the
+// access and then runs the offset's own handler (the TSO or weak table's).
 // Tagged memory ops lose their inline micro-op, so both batch loops reach
-// them through that handler; every other offset, and every page of a
+// them through that handler; every other offset, and every offset of a
 // machine with no table, compiles as before.
 
 // AccessFunc observes one execution of a tagged instruction: the executing
@@ -21,57 +21,38 @@ import "repro/internal/mx"
 // before the access, so an access that faults is still reported.
 type AccessFunc func(t *Thread, site int, addr uint64)
 
-// accessTag is one tagged instruction of a code page.
-type accessTag struct {
-	off  uint16
-	site int
-}
-
 // RecordAccesses makes the machine report every execution of an
 // instruction in sites (code address -> site ID, as lower.Result.Sites
-// gives it) to fn. Set it before Run: pages compile their tags on first
+// gives it) to fn. Set it before Run, and leave sites unchanged while the
+// machine runs: each offset looks up its tag when it compiles, on its first
 // execution.
 func (m *Machine) RecordAccesses(sites map[uint64]int, fn AccessFunc) {
-	m.recFn = fn
-	m.recTags = map[uint64][]accessTag{}
-	for addr, site := range sites {
-		base := addr &^ (pageSize - 1)
-		m.recTags[base] = append(m.recTags[base], accessTag{off: uint16(addr - base), site: site})
-	}
+	m.recFn, m.recSites = fn, sites
 }
 
-// compile compiles cp, the page at base, for this machine: the handler
-// table for its memory ordering, then the recording handlers of its tagged
-// offsets. A machine without a site table pays one nil check here and
-// nothing per instruction.
-func (m *Machine) compile(cp *codePage, base uint64) {
-	cp.compile(m.weak)
-	if m.recTags != nil {
-		m.tagAccesses(cp, m.recTags[base])
+// tagAccess installs a recording handler at off if its address is tagged
+// and it holds a memory-operand instruction; a tag on anything else is
+// ignored.
+func (m *Machine) tagAccess(cp *codePage, base uint64, off int) {
+	site, ok := m.recSites[base+uint64(off)]
+	if !ok {
+		return
 	}
-}
-
-// tagAccesses installs a recording handler at each tagged offset that holds
-// a memory-operand instruction; a tag on anything else is ignored.
-func (m *Machine) tagAccesses(cp *codePage, tags []accessTag) {
-	fn := m.recFn
-	for _, tg := range tags {
-		d := &cp.disp[tg.off]
-		inner, site := d.h, tg.site
-		switch mx.LayoutOf(cp.insts[tg.off].Op) {
-		case mx.LayoutMem:
-			d.h = func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64 {
-				fn(t, site, t.ea(i))
-				return inner(m, t, cp, i, pc, next)
-			}
-		case mx.LayoutMemIdx:
-			d.h = func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64 {
-				fn(t, site, t.eaIdx(i))
-				return inner(m, t, cp, i, pc, next)
-			}
-		default:
-			continue
+	d := &cp.disp[off]
+	inner, fn := d.h, m.recFn
+	switch mx.LayoutOf(cp.insts[off].Op) {
+	case mx.LayoutMem:
+		d.h = func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64 {
+			fn(t, site, t.ea(i))
+			return inner(m, t, cp, i, pc, next)
 		}
-		d.mop = mopCall
+	case mx.LayoutMemIdx:
+		d.h = func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64 {
+			fn(t, site, t.eaIdx(i))
+			return inner(m, t, cp, i, pc, next)
+		}
+	default:
+		return
 	}
+	d.mop = mopCall
 }

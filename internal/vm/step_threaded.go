@@ -7,10 +7,11 @@ import (
 )
 
 // This file implements the VM's one execution engine: threaded code over
-// predecoded pages. Each page carries a handler pointer per byte offset, so
-// dispatch is an indirect call per instruction — Go's idiom for
-// computed-goto dispatch — and opHandlers is the only definition of MX64
-// instruction semantics. Two loops run the handlers:
+// predecoded pages. Each page carries a handler pointer per byte offset,
+// filled in when the offset first dispatches (compileAt), so dispatch is an
+// indirect call per instruction — Go's idiom for computed-goto dispatch —
+// and opHandlers is the only definition of MX64 instruction semantics. Two
+// loops run the handlers:
 //
 //   - stepBatchCounted, the per-step reference: one instruction per
 //     dispatch with eager accounting, run when machine counters are on;
@@ -20,7 +21,7 @@ import (
 //     table, retiring with one precomputed insts/cycles sum applied at the
 //     next flush point and an exact per-prefix fallback when a run exits
 //     early; inline same-page control flow; and fused CMP/TEST/SUB+JCC
-//     pairs (selected at compile() time).
+//     pairs (selected when the flag setter compiles).
 //
 // A machine recording memory accesses (record.go) swaps each tagged
 // offset's handler for one that reports the access and then runs the
@@ -41,14 +42,15 @@ import (
 // frame resume, thread exit) return the final t.PC instead.
 type handler func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64
 
-// dispatchEnt is the per-offset dispatch record. It is packed to
-// 16 bytes — handler, length, retire class, flat-run length, and precomputed
-// cost — so one entry load (four entries per cache line) gives the batch
-// loop everything it needs without touching lens, insts.Op, or costs[].
+// dispatchEnt is the per-offset dispatch record: handler, length, retire
+// class, micro-op, flat-run length and precomputed cost, 24 bytes with
+// padding, so one entry load gives the batch loop everything it needs
+// without touching insts.Op or costs[]. A nil handler marks an offset not
+// compiled yet; its zero retire class is retireFault, whose branch
+// compiles it.
 type dispatchEnt struct {
 	h handler
-	// n is the encoded instruction length (mirrors codePage.lens so the
-	// batch loops index a single table).
+	// n is the encoded instruction length; 0 marks a fetch hole.
 	n uint8
 	// retire classifies the dispatch; see the retire* constants.
 	retire uint8
@@ -70,7 +72,8 @@ type dispatchEnt struct {
 // ignores them and calls h, which always retires exactly one instruction.
 const (
 	// retireFault marks a fetch hole or predecoded BAD instruction: the
-	// sentinel handler faults and retires nothing.
+	// sentinel handler faults and retires nothing. It is also the class of
+	// an offset not compiled yet (nil handler).
 	retireFault = iota
 	retireOne
 	// retireFused is a fusable flag setter followed by a same-page JCC: the
@@ -173,7 +176,7 @@ var (
 	// simpleOps marks instructions eligible for flat runs: always fall
 	// through, never call hooks or externals, never end the step loop.
 	simpleOps [mx.NumOps]bool
-	// fuses marks the flag-setting opcodes compile() fuses with a following
+	// fuses marks the flag-setting opcodes compileOne fuses with a following
 	// same-page JCC; stepBatchFast inlines all six pairs.
 	fuses = [mx.NumOps]bool{mx.CMPRR: true, mx.CMPRI: true, mx.TESTRR: true,
 		mx.TESTRI: true, mx.SUBRR: true, mx.SUBRI: true}
@@ -269,96 +272,126 @@ func init() {
 	initWeakHandlers()
 }
 
-// compile fills the page's handler table and dispatch metadata from its
-// predecoded instructions: fusion selection first (a fused offset is not a
-// flat-run member — the fast loop retires it and its JCC as a pair), then a
-// backward pass over fallthrough chains for flat-run lengths and block cycle
-// sums. The write-watch invalidation contract needs no extra work here:
-// stores into code drop the whole codePage, handler table, fusion choices
-// and all.
+// compileAt compiles the offset off of cp, the page at base, on its first
+// dispatch, together with the flat run that starts there. It walks the
+// fallthrough chain forward, compiling each instruction, while each one is a
+// flat-run member (simple, and not the head of a fused pair), through the
+// first instruction outside the run; the walk also stops where the chain
+// leaves the page or reaches an offset already compiled, whose run extends
+// this one. It then sets each new member's flat and runCost: a member's run
+// is itself plus the run after it, the values a backward pass over the
+// whole page would give.
 //
-// weak is the machine's memory ordering, read once per page: weak pages
-// install weakHandlers and dispatch every memory access through them,
-// turning off the micro-ops and inline CALL/RET paths that touch memory
-// directly, so neither the fast loop nor the mx64 handlers check for a
-// store buffer (push and pop, below the stack-op handlers, test that t's
-// is empty).
-func (cp *codePage) compile(weak bool) {
-	handlers := &opHandlers
-	if weak {
-		handlers = &weakHandlers
-	}
-	for off := 0; off < pageSize; off++ {
+// The write-watch invalidation contract needs no extra work here: stores
+// into code drop the whole codePage, handler table, fusion choices and all.
+func (m *Machine) compileAt(cp *codePage, base uint64, off int) {
+	start := off
+	members, run, cost := 0, 0, uint32(0)
+	for {
 		d := &cp.disp[off]
-		n := int(cp.lens[off])
-		d.n = uint8(n)
-		if n == 0 {
-			d.h, d.retire = hFetchHole, retireFault
-			continue
+		m.compileOne(cp, base, off)
+		if d.retire != retireOne || !simpleOps[cp.insts[off].Op] {
+			break // the chain end dispatches singly
 		}
-		op := cp.insts[off].Op
-		if op == mx.BAD {
-			d.h, d.retire = hIllegal, retireFault
-			continue
+		members++
+		run++
+		cost += d.runCost
+		if off += int(d.n); off >= pageSize {
+			break
 		}
-		d.h = handlers[op]
-		d.retire = retireOne
-		d.mop = mopOf[op]
-		if weak && d.mop >= mopLoad64 {
-			d.mop = mopCall
-		}
-		d.runCost = uint32(costs[op])
-		if op == mx.CALLX {
-			d.retire = retireCallX
-			continue
-		}
-		switch op {
-		case mx.JMP:
-			// Promote same-page jumps (excluding the degenerate
-			// jump-to-fallthrough, whose untaken-looking edge must skip
-			// the block hook exactly like the generic fall==PC check).
-			if tgt := int64(off) + int64(n) + int64(cp.insts[off].Disp); tgt >= 0 && tgt < pageSize && cp.insts[off].Disp != 0 {
-				d.retire = retireJmp
+		if nd := &cp.disp[off]; nd.h != nil {
+			if nd.flat > 0 {
+				run += int(nd.flat)
+				cost += nd.runCost
 			}
-			continue
-		case mx.JCC:
-			if cp.insts[off].Disp != 0 {
-				d.retire = retireJcc
-			}
-			continue
-		case mx.CALL:
-			if tgt := int64(off) + int64(n) + int64(cp.insts[off].Disp); !weak && tgt >= 0 && tgt < pageSize && cp.insts[off].Disp != 0 {
-				d.retire = retireCall
-			}
-			continue
-		case mx.RET:
-			if !weak {
-				d.retire = retireRet
-			}
-			continue
+			break
 		}
-		if fuses[op] {
-			if off2 := off + n; off2 < pageSize && cp.lens[off2] != 0 && cp.insts[off2].Op == mx.JCC {
+	}
+	for off = start; members > 0; members-- {
+		d := &cp.disp[off]
+		own := d.runCost
+		d.flat, d.runCost = uint16(run), cost
+		run--
+		cost -= own
+		off += int(d.n)
+	}
+}
+
+// compileOne decodes the instruction at off and fills its dispatch entry:
+// handler, length, retire class, micro-op and its own cost. A fusable flag
+// setter decodes one instruction ahead for a same-page JCC and stores it
+// for the fast loop's inline pair. A recording machine then tags the offset
+// (record.go).
+//
+// Weak machines install weakHandlers and dispatch every memory access
+// through them, turning off the micro-ops and inline CALL/RET paths that
+// touch memory directly, so neither the fast loop nor the mx64 handlers
+// check for a store buffer (push and pop, below the stack-op handlers, test
+// that t's is empty).
+func (m *Machine) compileOne(cp *codePage, base uint64, off int) {
+	d := &cp.disp[off]
+	inst, n := cp.decode(off)
+	cp.insts[off] = inst
+	d.n = uint8(n)
+	if n == 0 {
+		d.h, d.retire = hFetchHole, retireFault
+		return
+	}
+	op := inst.Op
+	if op == mx.BAD {
+		d.h, d.retire = hIllegal, retireFault
+		return
+	}
+	if m.weak {
+		d.h = weakHandlers[op]
+	} else {
+		d.h = opHandlers[op]
+	}
+	d.retire = retireOne
+	d.mop = mopOf[op]
+	if m.weak && d.mop >= mopLoad64 {
+		d.mop = mopCall
+	}
+	d.runCost = uint32(costs[op])
+	switch op {
+	case mx.CALLX:
+		d.retire = retireCallX
+	case mx.JMP:
+		// Promote same-page jumps (excluding the degenerate
+		// jump-to-fallthrough, whose untaken-looking edge must skip the
+		// block hook exactly like the generic fall==PC check).
+		if tgt := int64(off) + int64(n) + int64(inst.Disp); tgt >= 0 && tgt < pageSize && inst.Disp != 0 {
+			d.retire = retireJmp
+		}
+	case mx.JCC:
+		if inst.Disp != 0 {
+			d.retire = retireJcc
+		}
+	case mx.CALL:
+		if tgt := int64(off) + int64(n) + int64(inst.Disp); !m.weak && tgt >= 0 && tgt < pageSize && inst.Disp != 0 {
+			d.retire = retireCall
+		}
+	case mx.RET:
+		if !m.weak {
+			d.retire = retireRet
+		}
+	default:
+		if off2 := off + n; fuses[op] && off2 < pageSize {
+			if j, n2 := cp.decode(off2); n2 != 0 && j.Op == mx.JCC {
+				cp.insts[off2] = j
 				d.retire = retireFused
 				d.runCost = uint32(costs[op] + costs[mx.JCC])
 			}
 		}
 	}
-	for off := pageSize - 1; off >= 0; off-- {
-		d := &cp.disp[off]
-		if d.retire != retireOne || !simpleOps[cp.insts[off].Op] {
-			continue // flat stays 0: dispatch singly
-		}
-		run, cost := uint32(1), d.runCost
-		if nxt := off + int(d.n); nxt < pageSize && cp.disp[nxt].flat > 0 {
-			run += uint32(cp.disp[nxt].flat)
-			cost += cp.disp[nxt].runCost
-		}
-		d.flat = uint16(run)
-		d.runCost = cost
+	if m.recFn != nil {
+		m.tagAccess(cp, base, off)
 	}
-	cp.compiled = true
 }
+
+// jccLen is the encoded length of every JCC, the trailing half of a fused
+// pair.
+var jccLen = uint64(mx.EncodedLen(mx.JCC))
 
 // stepBatch executes up to budget instructions of t's current scheduling
 // grant and returns how many retired. budget is the
@@ -440,9 +473,6 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 				m.icache[base] = cp
 			}
 			m.icBase, m.icPage = base, cp
-		}
-		if !cp.compiled {
-			m.compile(cp, base)
 		}
 		// Same-page dispatch loop: fall out to the outer loop only when
 		// control leaves the page or a store invalidated it.
@@ -659,6 +689,12 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 			next := pc + uint64(d.n)
 			switch d.retire {
 			case retireFault:
+				if d.h == nil {
+					// First dispatch at this offset: compile it, with
+					// the flat run it starts, and dispatch it again.
+					m.compileAt(cp, base, int(off))
+					continue
+				}
 				// Sentinel: faults without retiring (and without moving
 				// t.PC), as in the per-step loop.
 				m.insts += pendI
@@ -839,7 +875,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					// leaves it.
 					off2 := next & (pageSize - 1)
 					j := &cp.insts[off2]
-					fall := next + uint64(cp.lens[off2])
+					fall := next + jccLen
 					if t.Eval(j.Cc) {
 						t.PC = fall + uint64(int64(j.Disp))
 					} else {
@@ -933,11 +969,11 @@ func (m *Machine) stepBatchCounted(t *Thread, budget int) int {
 		} else {
 			ctr.ICacheHits++
 		}
-		if !cp.compiled {
-			m.compile(cp, base)
-		}
 		off := pc & (pageSize - 1)
 		d := &cp.disp[off]
+		if d.h == nil {
+			m.compileAt(cp, base, int(off))
+		}
 		inst := &cp.insts[off]
 		next := pc + uint64(d.n)
 		if d.retire == retireFault {
@@ -1029,7 +1065,7 @@ func hUnimplemented(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uin
 	return next
 }
 
-// hFetchHole and hIllegal are the retireFault sentinels compile() installs
+// hFetchHole and hIllegal are the retireFault sentinels compileOne installs
 // for non-executable offsets and predecoded BAD instructions, so the batch
 // loops need no per-dispatch fetch checks: the fault is the dispatch.
 

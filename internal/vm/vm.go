@@ -197,10 +197,10 @@ type Machine struct {
 	// comparators). The callback-pruning analysis (§3.3.3) attaches here.
 	OnGuestEntry func(fn uint64)
 
-	// access recording (record.go): the host function and the tagged
-	// offsets per code page base; recTags is nil when recording is off.
-	recFn   AccessFunc
-	recTags map[uint64][]accessTag
+	// access recording (record.go): the host function and the site table
+	// (code address -> site ID); recFn is nil when recording is off.
+	recFn    AccessFunc
+	recSites map[uint64]int
 
 	// scheduler bookkeeping. runFuel and extFrom belong to the fast batch
 	// loop's sole-runnable grant extension (step_threaded.go): runFuel is

@@ -673,3 +673,217 @@ func TestCallocZeroesInGuestMemory(t *testing.T) {
 		t.Fatalf("a 64 MiB calloc allocated %d host bytes", grew)
 	}
 }
+
+// TestMallocOverflowFaults: a malloc size whose header or rounding wraps
+// faults, as calloc's does, instead of returning a block the next
+// allocation overlaps.
+func TestMallocOverflowFaults(t *testing.T) {
+	for _, size := range []int64{-8, -16, -31} {
+		img := build(t, func(b *asm.Builder) {
+			b.Entry("main")
+			b.Label("main")
+			b.MovRI(mx.RDI, size)
+			b.CallExt("malloc")
+			b.MovRI(mx.RDI, 0)
+			b.CallExt("exit")
+		})
+		res := run(t, img)
+		if res.Fault == nil || !strings.Contains(res.Fault.Reason, "malloc") {
+			t.Errorf("malloc(%#x): fault %v, want a malloc size fault", uint64(size), res.Fault)
+		}
+	}
+}
+
+// bulkMiB is the block size of the bulk-external tests: large enough that a
+// host buffer of the guest's size shows in TotalAlloc, small enough to run
+// under the race detector.
+const bulkMiB = 64
+
+// TestBulkExternalsAllocateNoHostBuffer runs memset, memcpy and qsort's
+// swap over 64 MiB blocks. On reserved, unmaterialized blocks a zero
+// memset, a copy and a swap allocate (almost) nothing; a non-zero memset and
+// a copy of its result allocate the pages they fill and no buffer on top.
+func TestBulkExternalsAllocateNoHostBuffer(t *testing.T) {
+	const size = bulkMiB << 20
+	img := build(t, func(b *asm.Builder) {
+		b.Entry("main")
+		b.Label("main")
+		b.MovRI(mx.RDI, size)
+		b.CallExt("malloc")
+		b.MovRR(mx.R12, mx.RAX)
+		b.MovRI(mx.RDI, size)
+		b.CallExt("malloc")
+		b.MovRR(mx.R13, mx.RAX)
+		b.MovRR(mx.RDI, mx.R12)
+		b.MovRI(mx.RSI, 0)
+		b.MovRI(mx.RDX, size)
+		b.CallExt("memset")
+		b.MovRR(mx.RDI, mx.R13)
+		b.MovRR(mx.RSI, mx.R12)
+		b.MovRI(mx.RDX, size)
+		b.CallExt("memcpy")
+		// qsort(p, 2, size/2, cmp): cmp says greater, so the two halves
+		// of p swap.
+		b.MovRR(mx.RDI, mx.R12)
+		b.MovRI(mx.RSI, 2)
+		b.MovRI(mx.RDX, size/2)
+		b.MovSym(mx.RCX, "greater")
+		b.CallExt("qsort")
+		b.MovRI(mx.RDI, 0)
+		b.CallExt("exit")
+		b.Label("greater")
+		b.MovRI(mx.RAX, 1)
+		b.Ret()
+	})
+	var res vm.Result
+	if grew := allocDuring(func() { res = run(t, img) }); grew > 16<<20 {
+		t.Errorf("zero memset, memcpy and swap over %d MiB blocks allocated %d host bytes", bulkMiB, grew)
+	}
+	mustExit(t, res, 0)
+
+	img = build(t, func(b *asm.Builder) {
+		b.Entry("main")
+		b.Label("main")
+		b.MovRI(mx.RDI, size)
+		b.CallExt("malloc")
+		b.MovRR(mx.R12, mx.RAX)
+		b.MovRI(mx.RDI, size)
+		b.CallExt("malloc")
+		b.MovRR(mx.R13, mx.RAX)
+		b.MovRR(mx.RDI, mx.R12)
+		b.MovRI(mx.RSI, 0xab)
+		b.MovRI(mx.RDX, size)
+		b.CallExt("memset")
+		b.MovRR(mx.RDI, mx.R13)
+		b.MovRR(mx.RSI, mx.R12)
+		b.MovRI(mx.RDX, size)
+		b.CallExt("memcpy")
+		b.I(mx.Inst{Op: mx.LOAD8, Dst: mx.RDI, Base: mx.R13, Disp: size - 1})
+		b.CallExt("exit")
+	})
+	grew := allocDuring(func() { res = run(t, img) })
+	mustExit(t, res, 0xab)
+	if grew > 2*size+16<<20 {
+		t.Errorf("memset and memcpy of %d MiB allocated %d host bytes, want the %d MiB of pages they fill plus < 16 MiB",
+			bulkMiB, grew, 2*bulkMiB)
+	}
+}
+
+// TestBulkExternalsCheckRanges: memset, memcpy, write and qsort fault on a
+// range that runs past their block, before allocating anything, and memset
+// no longer maps what it writes.
+func TestBulkExternalsCheckRanges(t *testing.T) {
+	const size = bulkMiB << 20
+	for _, c := range []struct {
+		name string
+		call func(b *asm.Builder)
+		want string
+	}{
+		{"memset", func(b *asm.Builder) {
+			b.MovRR(mx.RDI, mx.R12)
+			b.MovRI(mx.RSI, 1)
+			b.MovRI(mx.RDX, size)
+			b.CallExt("memset")
+		}, "memset destination unmapped"},
+		{"memcpy source", func(b *asm.Builder) {
+			b.MovRR(mx.RDI, mx.R12)
+			b.MovRR(mx.RSI, mx.R12)
+			b.MovRI(mx.RDX, size)
+			b.CallExt("memcpy")
+		}, "memcpy source unmapped"},
+		{"memcpy destination", func(b *asm.Builder) {
+			b.MovRI(mx.RDI, 0x7000_0000_0000)
+			b.MovRR(mx.RSI, mx.R12)
+			b.MovRI(mx.RDX, 8)
+			b.CallExt("memcpy")
+		}, "memcpy destination unmapped"},
+		{"write", func(b *asm.Builder) {
+			b.MovRR(mx.RDI, mx.R12)
+			b.MovRI(mx.RSI, size)
+			b.CallExt("write")
+		}, "bad buffer"},
+		{"qsort", func(b *asm.Builder) {
+			b.MovRR(mx.RDI, mx.R12)
+			b.MovRI(mx.RSI, 2)
+			b.MovRI(mx.RDX, size)
+			b.MovSym(mx.RCX, "greater")
+			b.CallExt("qsort")
+		}, "qsort: unmapped element"},
+	} {
+		img := build(t, func(b *asm.Builder) {
+			b.Entry("main")
+			b.Label("main")
+			b.MovRI(mx.RDI, 64)
+			b.CallExt("malloc")
+			b.MovRR(mx.R12, mx.RAX)
+			c.call(b)
+			b.MovRI(mx.RDI, 0)
+			b.CallExt("exit")
+			b.Label("greater")
+			b.MovRI(mx.RAX, 1)
+			b.Ret()
+		})
+		var res vm.Result
+		grew := allocDuring(func() { res = run(t, img) })
+		if res.Fault == nil || !strings.Contains(res.Fault.Reason, c.want) {
+			t.Errorf("%s: fault %v, want %q", c.name, res.Fault, c.want)
+		}
+		if grew > 16<<20 {
+			t.Errorf("%s: a rejected %d MiB range allocated %d host bytes", c.name, bulkMiB, grew)
+		}
+	}
+}
+
+// TestMemcpyOverlapAndWrite: memcpy over overlapping ranges gives memmove's
+// result in both directions, and write copies a buffer to the output,
+// reserved (never written) bytes as zeros.
+func TestMemcpyOverlapAndWrite(t *testing.T) {
+	const text = "0123456789abcdef"
+	img := build(t, func(b *asm.Builder) {
+		b.Entry("main")
+		b.Label("main")
+		b.MovRI(mx.RDI, 32)
+		b.CallExt("malloc")
+		b.MovRR(mx.R12, mx.RAX)
+		b.MovRR(mx.RDI, mx.R12)
+		b.MovSym(mx.RSI, "text")
+		b.MovRI(mx.RDX, 16)
+		b.CallExt("memcpy")
+		// memmove(p+2, p, 10), then memmove(p+11, p+12, 4).
+		b.MovRR(mx.RDI, mx.R12)
+		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.RDI, Imm: 2})
+		b.MovRR(mx.RSI, mx.R12)
+		b.MovRI(mx.RDX, 10)
+		b.CallExt("memcpy")
+		b.MovRR(mx.RDI, mx.R12)
+		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.RDI, Imm: 11})
+		b.MovRR(mx.RSI, mx.R12)
+		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.RSI, Imm: 12})
+		b.MovRI(mx.RDX, 4)
+		b.CallExt("memcpy")
+		b.MovRR(mx.RDI, mx.R12)
+		b.MovRI(mx.RSI, 20)
+		b.CallExt("write")
+		b.MovRI(mx.RDI, 0)
+		b.CallExt("exit")
+		b.RodataLabel("text")
+		b.Rodata([]byte(text))
+	})
+	want := []byte(text + "\x00\x00\x00\x00")
+	copy(want[2:12], want[0:10])
+	copy(want[11:15], want[12:16])
+	res := run(t, img)
+	mustExit(t, res, 0)
+	if res.Output != string(want) {
+		t.Fatalf("output %q, want %q", res.Output, want)
+	}
+}
+
+// allocDuring returns the bytes the Go heap allocated while f ran.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}

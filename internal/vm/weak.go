@@ -28,10 +28,10 @@ import (
 // instructions), not the machine, which is what makes emitted-fence counts
 // and the fence-optimization pass measurable (§3.4).
 //
-// Weak mode runs on the same handler table as the TSO machine: compile()
-// installs weakHandlers on every page of a weak machine, so plain loads and
-// stores go through loadMem/storeMem below and drain points drain before
-// their plain handler runs. PUSH, POP, CALL, CALLR and RET access their
+// Weak mode runs on the same handler table as the TSO machine: every offset
+// of a weak machine compiles with weakHandlers, so plain loads and stores go
+// through loadMem/storeMem below and drain points drain before their plain
+// handler runs. PUSH, POP, CALL, CALLR and RET access their
 // stack slot directly; push and pop drain the buffer first when it holds a
 // store overlapping the slot, so a later drain cannot overwrite a pushed
 // value and a pop cannot miss a buffered store. Instruction fetch reads
@@ -177,7 +177,7 @@ func (m *Machine) drainOverlapping(t *Thread, addr uint64) {
 	}
 }
 
-// weakHandlers is the handler table compile() installs on weak pages:
+// weakHandlers is the handler table compileOne installs on weak machines:
 // opHandlers with plain loads, stores and VLOAD/VSTORE routed through the
 // store buffer, and every opDrainsSB op draining before its plain handler.
 var weakHandlers [mx.NumOps]handler
