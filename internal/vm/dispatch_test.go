@@ -20,7 +20,8 @@ import (
 // (exit code, cycles, instruction count, output, fault) as the mx64
 // per-step cell, and the two per-step cells' Counters must agree outside
 // TLBHits/TLBMisses, which the store buffer legitimately moves: forwarded
-// loads skip a translation and buffered stores translate when they drain.
+// loads skip a translation, and a buffered store translates when it is
+// buffered and again when it drains.
 
 // cell is one machine × loop combination of the identity matrix.
 type cell struct{ weak, counted bool }

@@ -66,9 +66,9 @@ func eagerPage(m *Machine, base uint64) (insts [pageSize]mx.Inst, disp [pageSize
 			insts[a-base], lens[a-base] = inst, uint8(n)
 		}
 	}
-	handlers := &opHandlers
+	handlers, mops := &opHandlers, &mopOf
 	if m.weak {
-		handlers = &weakHandlers
+		handlers, mops = &weakHandlers, &weakMopOf
 	}
 	for off := 0; off < pageSize; off++ {
 		d := &disp[off]
@@ -83,10 +83,7 @@ func eagerPage(m *Machine, base uint64) (insts [pageSize]mx.Inst, disp [pageSize
 			d.h, d.retire = hIllegal, retireFault
 			continue
 		}
-		d.h, d.retire, d.mop = handlers[op], retireOne, mopOf[op]
-		if m.weak && d.mop >= mopLoad64 {
-			d.mop = mopCall
-		}
+		d.h, d.retire, d.mop = handlers[op], retireOne, mops[op]
 		d.runCost = uint32(costs[op])
 		tgt := int64(off) + int64(n) + int64(insts[off].Disp)
 		switch {
@@ -118,4 +115,29 @@ func eagerPage(m *Machine, base uint64) (insts [pageSize]mx.Inst, disp [pageSize
 		d.flat, d.runCost = uint16(run), cost
 	}
 	return insts, disp
+}
+
+// SBEntry is one buffered store: its address, its value masked to its
+// width, and its width in bytes.
+type SBEntry struct {
+	Addr, Val uint64
+	W         uint8
+}
+
+// StoreBuffers returns a copy of every thread's store buffer, oldest store
+// first and indexed by thread ID, and the buffer owner's thread ID (-1 when
+// no thread owns the buffer).
+func (m *Machine) StoreBuffers() (bufs [][]SBEntry, owner int) {
+	owner = -1
+	if m.sbOwner != nil {
+		owner = m.sbOwner.ID
+	}
+	for _, t := range m.threads {
+		var b []SBEntry
+		for _, e := range t.sbuf {
+			b = append(b, SBEntry{e.addr, e.val, e.w})
+		}
+		bufs = append(bufs, b)
+	}
+	return bufs, owner
 }

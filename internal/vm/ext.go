@@ -105,7 +105,10 @@ var builtinExts = map[string]extDef{
 		if n > math.MaxUint64-mallocHeaderSize-15 {
 			return fmt.Errorf("malloc(%d): size overflows", n)
 		}
-		a := m.Malloc(n + mallocHeaderSize)
+		a, ok := m.Malloc(n + mallocHeaderSize)
+		if !ok {
+			return fmt.Errorf("malloc(%d): heap exhausted", n)
+		}
 		m.Mem.Store(a, n+mallocHeaderSize, 8)
 		ret(t, a+mallocHeaderSize)
 		return nil
@@ -118,7 +121,10 @@ var builtinExts = map[string]extDef{
 		if hi != 0 || n > math.MaxUint64-mallocHeaderSize-15 {
 			return fmt.Errorf("calloc(%d, %d): size overflows", arg(t, 0), arg(t, 1))
 		}
-		a := m.Malloc(n + mallocHeaderSize)
+		a, ok := m.Malloc(n + mallocHeaderSize)
+		if !ok {
+			return fmt.Errorf("calloc(%d, %d): heap exhausted", arg(t, 0), arg(t, 1))
+		}
 		m.Mem.Store(a, n+mallocHeaderSize, 8)
 		// Malloc'd pages are freshly mapped (zero) or recycled: clear the
 		// block in guest memory.
@@ -290,7 +296,10 @@ var builtinExts = map[string]extDef{
 	// uninitialized TLS (§3.3.2).
 	"__polynima_thread_init": {func(m *Machine, t *Thread) error {
 		const emuStackSize = 1 << 20
-		base := m.Malloc(emuStackSize)
+		base, ok := m.Malloc(emuStackSize)
+		if !ok {
+			return fmt.Errorf("emulated stack (%d bytes): heap exhausted", emuStackSize)
+		}
 		t.EmuStack = [2]uint64{base, base + emuStackSize}
 		top := (base + emuStackSize - 64) &^ 15
 		ret(t, top)

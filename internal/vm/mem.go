@@ -14,8 +14,20 @@ const (
 )
 
 // tlbSize is the number of entries in the direct-mapped software TLB that
-// fronts the pages map (power of two; indexed by page number).
-const tlbSize = 64
+// fronts the pages map; tlbIndex picks an address's entry.
+const (
+	tlbSize = 1 << tlbBits
+	tlbBits = 6
+)
+
+// tlbIndex returns the TLB entry index of addr's page: the top tlbBits of a
+// Fibonacci multiply of the page number. Every region base of the address
+// space (.text, .data, .rodata, .bss, recompiled code, the heap, the first
+// TLS block) is a multiple of 64 pages, so indexing by the page number's low
+// bits put all of them in entry 0; the multiply spreads them.
+func tlbIndex(addr uint64) uint64 {
+	return (addr >> pageShift) * 0x9e3779b97f4a7c15 >> (64 - tlbBits)
+}
 
 // tlbEntry caches one positive page translation. pg == nil marks an empty
 // slot; only materialized pages are cached, so a hit never needs
@@ -125,7 +137,7 @@ func (m *Memory) noteWrite(addr, end uint64) {
 // WriteBytes maps as it goes) and reported as nil otherwise.
 func (m *Memory) page(addr uint64, create bool) ([]byte, uint64) {
 	base := addr &^ (pageSize - 1)
-	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
+	e := &m.tlb[tlbIndex(addr)]
 	if e.pg != nil && e.base == base {
 		if m.ctr != nil {
 			m.ctr.TLBHits++
@@ -443,7 +455,7 @@ func (m *Memory) Store(addr uint64, v uint64, width int) bool {
 // identical to calling Load/Store directly.
 
 func (m *Memory) load8(addr uint64) (uint64, bool) {
-	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
+	e := &m.tlb[tlbIndex(addr)]
 	off := addr & (pageSize - 1)
 	if e.pg != nil && e.base == addr-off {
 		if m.ctr != nil {
@@ -455,7 +467,7 @@ func (m *Memory) load8(addr uint64) (uint64, bool) {
 }
 
 func (m *Memory) load32(addr uint64) (uint64, bool) {
-	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
+	e := &m.tlb[tlbIndex(addr)]
 	off := addr & (pageSize - 1)
 	if e.pg != nil && e.base == addr-off && off <= pageSize-4 {
 		if m.ctr != nil {
@@ -467,7 +479,7 @@ func (m *Memory) load32(addr uint64) (uint64, bool) {
 }
 
 func (m *Memory) load64(addr uint64) (uint64, bool) {
-	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
+	e := &m.tlb[tlbIndex(addr)]
 	off := addr & (pageSize - 1)
 	if e.pg != nil && e.base == addr-off && off <= pageSize-8 {
 		if m.ctr != nil {
@@ -479,7 +491,7 @@ func (m *Memory) load64(addr uint64) (uint64, bool) {
 }
 
 func (m *Memory) store8(addr, v uint64) bool {
-	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
+	e := &m.tlb[tlbIndex(addr)]
 	off := addr & (pageSize - 1)
 	if e.pg != nil && e.base == addr-off &&
 		(m.onWrite == nil || addr >= m.watchHi || addr+1 <= m.watchLo) {
@@ -493,7 +505,7 @@ func (m *Memory) store8(addr, v uint64) bool {
 }
 
 func (m *Memory) store32(addr, v uint64) bool {
-	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
+	e := &m.tlb[tlbIndex(addr)]
 	off := addr & (pageSize - 1)
 	if e.pg != nil && e.base == addr-off && off <= pageSize-4 &&
 		(m.onWrite == nil || addr >= m.watchHi || addr+4 <= m.watchLo) {
@@ -507,7 +519,7 @@ func (m *Memory) store32(addr, v uint64) bool {
 }
 
 func (m *Memory) store64(addr, v uint64) bool {
-	e := &m.tlb[(addr>>pageShift)&(tlbSize-1)]
+	e := &m.tlb[tlbIndex(addr)]
 	off := addr & (pageSize - 1)
 	if e.pg != nil && e.base == addr-off && off <= pageSize-8 &&
 		(m.onWrite == nil || addr >= m.watchHi || addr+8 <= m.watchLo) {

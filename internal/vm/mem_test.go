@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/image"
 	"repro/internal/mx"
 )
 
@@ -116,7 +117,10 @@ func TestCStringLengthCap(t *testing.T) {
 func TestTLBConflict(t *testing.T) {
 	m := NewMemory()
 	a := uint64(0x100000)
-	b := a + tlbSize*pageSize // same slot index as a
+	b := a + pageSize
+	for tlbIndex(b) != tlbIndex(a) { // the next page sharing a's slot
+		b += pageSize
+	}
 	m.Map(a, pageSize)
 	m.Map(b, pageSize)
 	for i := 0; i < 8; i++ {
@@ -411,5 +415,25 @@ func TestCopyIsMemmove(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Errorf("Copy(%#x, %#x, %d) differs from memmove", c.dst, c.src, c.n)
 		}
+	}
+}
+
+// TestTLBSpreadsRegionBases: the region bases of the address space (the
+// image's sections, recompiled code, the heap, the first TLS block) are
+// multiples of 64 pages, so indexing the TLB by the page number's low bits
+// put all of them in one entry. The hashed index gives each its own.
+func TestTLBSpreadsRegionBases(t *testing.T) {
+	bases := []uint64{image.TextBase, image.DataBase, image.RodataBase, image.BSSBase,
+		image.RecompiledBase, image.HeapBase, heapEnd}
+	seen := map[uint64]uint64{}
+	for _, b := range bases {
+		i := tlbIndex(b)
+		if i >= tlbSize {
+			t.Fatalf("tlbIndex(%#x) = %d, outside the %d-entry TLB", b, i, tlbSize)
+		}
+		if o, ok := seen[i]; ok {
+			t.Errorf("region bases %#x and %#x share TLB entry %d", o, b, i)
+		}
+		seen[i] = b
 	}
 }

@@ -23,6 +23,11 @@ import (
 //     early; inline same-page control flow; and fused CMP/TEST/SUB+JCC
 //     pairs (selected when the flag setter compiles).
 //
+// On weak machines (weak.go) the micro-op table's 64-bit plain and indexed
+// loads and stores work on the thread's store buffer inline, with the
+// handlers' forwarding and drain points; every other memory access goes
+// through the weak handlers.
+//
 // A machine recording memory accesses (record.go) swaps each tagged
 // offset's handler for one that reports the access and then runs the
 // original. Tagged offsets stay in their flat runs but leave the inline
@@ -106,8 +111,10 @@ const (
 // handler call, which is worth several cycles per instruction on the hot
 // path. mopCall (zero) falls back to disp.h. Each inline body must mirror
 // the corresponding handler exactly; the fast-vs-per-step identity matrix is
-// the enforcement. The memory micro-ops (mopLoad64 onward) access memory
-// directly and must stay last: weak pages turn them off by range.
+// the enforcement. The mx64 memory micro-ops (mopLoad64 through mopPop)
+// access memory directly; weak pages use weakMopOf instead, which maps the
+// 64-bit plain and indexed loads and stores to the store-buffer micro-ops
+// (mopWLoad64 onward) and sends PUSH and POP through their handlers.
 const (
 	mopCall = iota
 	mopMovRR
@@ -134,11 +141,15 @@ const (
 	mopStoreIdx64
 	mopPush
 	mopPop
+	mopWLoad64
+	mopWStore64
+	mopWLoadIdx64
+	mopWStoreIdx64
 )
 
-// mopOf maps opcodes to their inline micro-op; zero (mopCall) everywhere
-// else.
-var mopOf [mx.NumOps]uint8
+// mopOf maps opcodes to their inline micro-op on mx64 pages, weakMopOf on
+// weak pages; zero (mopCall) everywhere else.
+var mopOf, weakMopOf [mx.NumOps]uint8
 
 func init() {
 	for op, mop := range map[mx.Op]uint8{
@@ -168,6 +179,17 @@ func init() {
 		mx.POP:        mopPop,
 	} {
 		mopOf[op] = mop
+	}
+	weakMopOf = mopOf
+	for op, mop := range map[mx.Op]uint8{
+		mx.LOAD64:     mopWLoad64,
+		mx.STORE64:    mopWStore64,
+		mx.LOADIDX64:  mopWLoadIdx64,
+		mx.STOREIDX64: mopWStoreIdx64,
+		mx.PUSH:       mopCall,
+		mx.POP:        mopCall,
+	} {
+		weakMopOf[op] = mop
 	}
 }
 
@@ -323,11 +345,13 @@ func (m *Machine) compileAt(cp *codePage, base uint64, off int) {
 // for the fast loop's inline pair. A recording machine then tags the offset
 // (record.go).
 //
-// Weak machines install weakHandlers and dispatch every memory access
-// through them, turning off the micro-ops and inline CALL/RET paths that
-// touch memory directly, so neither the fast loop nor the mx64 handlers
-// check for a store buffer (push and pop, below the stack-op handlers, test
-// that t's is empty).
+// Weak machines install weakHandlers and weakMopOf: the 64-bit plain and
+// indexed loads and stores keep inline micro-ops, the store-buffer ones,
+// and every other memory access dispatches through its weak handler. The
+// PUSH/POP micro-ops and the inline CALL/RET paths, which touch memory
+// directly, stay off, so no mx64 micro-op or handler checks for a store
+// buffer (push and pop, below the stack-op handlers, drain one that
+// overlaps their slot).
 func (m *Machine) compileOne(cp *codePage, base uint64, off int) {
 	d := &cp.disp[off]
 	inst, n := cp.decode(off)
@@ -343,15 +367,11 @@ func (m *Machine) compileOne(cp *codePage, base uint64, off int) {
 		return
 	}
 	if m.weak {
-		d.h = weakHandlers[op]
+		d.h, d.mop = weakHandlers[op], weakMopOf[op]
 	} else {
-		d.h = opHandlers[op]
+		d.h, d.mop = opHandlers[op], mopOf[op]
 	}
 	d.retire = retireOne
-	d.mop = mopOf[op]
-	if m.weak && d.mop >= mopLoad64 {
-		d.mop = mopCall
-	}
 	d.runCost = uint32(costs[op])
 	switch op {
 	case mx.CALLX:
@@ -578,7 +598,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					// slow path as the handlers.
 					case mopLoad64:
 						addr := t.ea(i)
-						e := &m.Mem.tlb[(addr>>pageShift)&(tlbSize-1)]
+						e := &m.Mem.tlb[tlbIndex(addr)]
 						o := addr & (pageSize - 1)
 						if e.pg != nil && e.base == addr-o && o <= pageSize-8 {
 							t.Regs[i.Dst] = binary.LittleEndian.Uint64(e.pg[o:])
@@ -588,7 +608,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					case mopStore64:
 						addr := t.ea(i)
 						mem := m.Mem
-						e := &mem.tlb[(addr>>pageShift)&(tlbSize-1)]
+						e := &mem.tlb[tlbIndex(addr)]
 						o := addr & (pageSize - 1)
 						if e.pg != nil && e.base == addr-o && o <= pageSize-8 &&
 							(mem.onWrite == nil || addr >= mem.watchHi || addr+8 <= mem.watchLo) {
@@ -598,7 +618,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 						}
 					case mopLoadIdx64:
 						addr := t.eaIdx(i)
-						e := &m.Mem.tlb[(addr>>pageShift)&(tlbSize-1)]
+						e := &m.Mem.tlb[tlbIndex(addr)]
 						o := addr & (pageSize - 1)
 						if e.pg != nil && e.base == addr-o && o <= pageSize-8 {
 							t.Regs[i.Dst] = binary.LittleEndian.Uint64(e.pg[o:])
@@ -608,7 +628,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					case mopStoreIdx64:
 						addr := t.eaIdx(i)
 						mem := m.Mem
-						e := &mem.tlb[(addr>>pageShift)&(tlbSize-1)]
+						e := &mem.tlb[tlbIndex(addr)]
 						o := addr & (pageSize - 1)
 						if e.pg != nil && e.base == addr-o && o <= pageSize-8 &&
 							(mem.onWrite == nil || addr >= mem.watchHi || addr+8 <= mem.watchLo) {
@@ -620,7 +640,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 						sp := t.Regs[mx.RSP] - 8
 						t.Regs[mx.RSP] = sp
 						mem := m.Mem
-						e := &mem.tlb[(sp>>pageShift)&(tlbSize-1)]
+						e := &mem.tlb[tlbIndex(sp)]
 						o := sp & (pageSize - 1)
 						if e.pg != nil && e.base == sp-o && o <= pageSize-8 &&
 							(mem.onWrite == nil || sp >= mem.watchHi || sp+8 <= mem.watchLo) {
@@ -630,7 +650,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 						}
 					case mopPop:
 						sp := t.Regs[mx.RSP]
-						e := &m.Mem.tlb[(sp>>pageShift)&(tlbSize-1)]
+						e := &m.Mem.tlb[tlbIndex(sp)]
 						o := sp & (pageSize - 1)
 						if e.pg != nil && e.base == sp-o && o <= pageSize-8 {
 							t.Regs[i.Dst] = binary.LittleEndian.Uint64(e.pg[o:])
@@ -640,6 +660,52 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 							t.Regs[mx.RSP] = sp + 8
 						} else {
 							m.faultf(t, t.PC, "pop from unmapped %#x", sp)
+						}
+					// The weak micro-ops mirror loadMem and storeMem at
+					// width 8: a load forwards an exact buffered match,
+					// drains on a partial overlap and then reads through the
+					// TLB; a store whose target hits the TLB outside the
+					// write watch appends to the buffer. Everything else
+					// takes the handlers' slow paths.
+					case mopWLoad64, mopWLoadIdx64:
+						var addr uint64
+						if d.mop == mopWLoad64 {
+							addr = t.ea(i)
+						} else {
+							addr = t.eaIdx(i)
+						}
+						if len(t.sbuf) > 0 {
+							v, hit, overlap := t.sbLoad(addr, 8)
+							if hit {
+								t.Regs[i.Dst] = v
+								break
+							}
+							if overlap {
+								m.drainSB(t)
+							}
+						}
+						e := &m.Mem.tlb[tlbIndex(addr)]
+						o := addr & (pageSize - 1)
+						if e.pg != nil && e.base == addr-o && o <= pageSize-8 {
+							t.Regs[i.Dst] = binary.LittleEndian.Uint64(e.pg[o:])
+						} else if v, ok := m.loadMem64(t, pc, addr); ok {
+							t.Regs[i.Dst] = v
+						}
+					case mopWStore64, mopWStoreIdx64:
+						var addr uint64
+						if d.mop == mopWStore64 {
+							addr = t.ea(i)
+						} else {
+							addr = t.eaIdx(i)
+						}
+						mem := m.Mem
+						e := &mem.tlb[tlbIndex(addr)]
+						o := addr & (pageSize - 1)
+						if e.pg != nil && e.base == addr-o && o <= pageSize-8 &&
+							(mem.onWrite == nil || addr >= mem.watchHi || addr+8 <= mem.watchLo) {
+							m.sbAppend(t, addr, t.Regs[i.Dst], 8)
+						} else {
+							m.storeMem(t, pc, addr, t.Regs[i.Dst], 8)
 						}
 					default:
 						d.h(m, t, cp, i, pc, next)
@@ -760,7 +826,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 				// to the generic handler dispatch otherwise.
 				sp := t.Regs[mx.RSP] - 8
 				mem := m.Mem
-				e := &mem.tlb[(sp>>pageShift)&(tlbSize-1)]
+				e := &mem.tlb[tlbIndex(sp)]
 				o := sp & (pageSize - 1)
 				if e.pg != nil && e.base == sp-o && o <= pageSize-8 &&
 					(mem.onWrite == nil || sp >= mem.watchHi || sp+8 <= mem.watchLo) {
@@ -792,7 +858,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 				// addresses; magic host/thread-exit frames and misses take
 				// the generic handler.
 				sp := t.Regs[mx.RSP]
-				e := &m.Mem.tlb[(sp>>pageShift)&(tlbSize-1)]
+				e := &m.Mem.tlb[tlbIndex(sp)]
 				o := sp & (pageSize - 1)
 				if e.pg != nil && e.base == sp-o && o <= pageSize-8 {
 					if ra := binary.LittleEndian.Uint64(e.pg[o:]); ra != magicThreadExit && ra != magicHostFrame {

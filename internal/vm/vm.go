@@ -37,6 +37,10 @@ const (
 	stackGuard = 1 << 12
 )
 
+// heapEnd bounds the guest heap: Malloc hands out blocks in
+// [image.HeapBase, heapEnd), and the first thread's TLS block starts there.
+const heapEnd = image.HeapBase + 1<<28
+
 // ThreadState describes what a thread is doing.
 type ThreadState uint8
 
@@ -272,7 +276,7 @@ func NewWithExts(img *image.Image, seed int64, exts map[string]ExtFunc) (*Machin
 		}
 	}
 	m.Mem.watchWrites(execRanges, m.invalidateCode)
-	m.tlsNext = image.HeapBase + (1 << 28)
+	m.tlsNext = heapEnd
 	if err := m.bindImports(); err != nil {
 		return nil, err
 	}
@@ -348,21 +352,29 @@ func (m *Machine) spawn(fn uint64, args [6]uint64) *Thread {
 	return t
 }
 
-// Malloc allocates n bytes of guest heap (host-side allocator).
-func (m *Machine) Malloc(n uint64) uint64 {
+// Malloc allocates n bytes of guest heap (host-side allocator). It reports
+// false, allocating nothing, when the block would not fit below heapEnd,
+// where the TLS blocks begin.
+func (m *Machine) Malloc(n uint64) (uint64, bool) {
 	if n == 0 {
 		n = 8
+	}
+	if n > heapEnd-image.HeapBase {
+		return 0, false // also keeps the rounding below from wrapping
 	}
 	n = (n + 15) &^ 15
 	if lst := m.freeList[n]; len(lst) > 0 {
 		a := lst[len(lst)-1]
 		m.freeList[n] = lst[:len(lst)-1]
-		return a
+		return a, true
 	}
 	a := m.heapNext
+	if a > heapEnd || n > heapEnd-a {
+		return 0, false
+	}
 	m.heapNext += n + 16
 	m.Mem.Map(a, n)
-	return a
+	return a, true
 }
 
 // Free returns a Malloc'd block of the given size to the allocator.

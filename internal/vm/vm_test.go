@@ -694,6 +694,72 @@ func TestMallocOverflowFaults(t *testing.T) {
 	}
 }
 
+// TestMallocStaysInHeap: the heap ends where thread 0's TLS block begins,
+// 256 MiB above its base. A block that would cross that line faults, in
+// malloc and calloc alike, instead of returning memory that aliases
+// [TLSBASE]; blocks that fit still succeed and leave the TLS block alone.
+func TestMallocStaysInHeap(t *testing.T) {
+	const mib = 1 << 20
+	// alias mallocs size bytes, stores 0x77 where the TLS block would start
+	// if the block covered it, and exits with the TLS block's first byte.
+	alias := func(ext string, size int64) *image.Image {
+		return build(t, func(b *asm.Builder) {
+			b.SetTLSSize(64)
+			b.Entry("main")
+			b.Label("main")
+			if ext == "calloc" {
+				b.MovRI(mx.RDI, 1)
+				b.MovRI(mx.RSI, size)
+			} else {
+				b.MovRI(mx.RDI, size)
+			}
+			b.CallExt(ext)
+			b.MovRI(mx.RCX, 0x77)
+			b.I(mx.Inst{Op: mx.STORE8, Dst: mx.RCX, Base: mx.RAX, Disp: 1<<28 - 16})
+			b.I(mx.Inst{Op: mx.TLSBASE, Dst: mx.RBX})
+			b.I(mx.Inst{Op: mx.LOAD8, Dst: mx.RDI, Base: mx.RBX})
+			b.CallExt("exit")
+		})
+	}
+	for _, ext := range []string{"malloc", "calloc"} {
+		res := run(t, alias(ext, 512*mib))
+		if res.Fault == nil || !strings.Contains(res.Fault.Reason, ext+"(") ||
+			!strings.Contains(res.Fault.Reason, "heap exhausted") {
+			t.Errorf("%s(512 MiB): exit %d, fault %v; want a heap-exhausted fault",
+				ext, res.ExitCode, res.Fault)
+		}
+	}
+
+	// Blocks that fit: 200 MiB, then 64 bytes, each written at its last
+	// quad, leave [TLSBASE] zero; a further 100 MiB no longer fits.
+	fits := func(third bool) *image.Image {
+		return build(t, func(b *asm.Builder) {
+			b.SetTLSSize(64)
+			b.Entry("main")
+			b.Label("main")
+			for _, size := range []int64{200 * mib, 64} {
+				b.MovRI(mx.RDI, size)
+				b.CallExt("malloc")
+				b.MovRI(mx.RCX, -1)
+				b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RCX, Base: mx.RAX, Disp: int32(size - 8)})
+			}
+			if third {
+				b.MovRI(mx.RDI, 100*mib)
+				b.CallExt("malloc")
+			}
+			b.I(mx.Inst{Op: mx.TLSBASE, Dst: mx.RBX})
+			b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RDI, Base: mx.RBX})
+			b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.RDI, Imm: 5})
+			b.CallExt("exit")
+		})
+	}
+	mustExit(t, run(t, fits(false)), 5)
+	if res := run(t, fits(true)); res.Fault == nil || !strings.Contains(res.Fault.Reason, "heap exhausted") {
+		t.Errorf("malloc past the heap's end: exit %d, fault %v; want a heap-exhausted fault",
+			res.ExitCode, res.Fault)
+	}
+}
+
 // bulkMiB is the block size of the bulk-external tests: large enough that a
 // host buffer of the guest's size shows in TotalAlloc, small enough to run
 // under the race detector.

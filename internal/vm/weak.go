@@ -31,7 +31,10 @@ import (
 // Weak mode runs on the same handler table as the TSO machine: every offset
 // of a weak machine compiles with weakHandlers, so plain loads and stores go
 // through loadMem/storeMem below and drain points drain before their plain
-// handler runs. PUSH, POP, CALL, CALLR and RET access their
+// handler runs. The fast loop runs the 64-bit plain and indexed loads and
+// stores, most of what recompiled mx64w code executes, as inline micro-ops
+// (step_threaded.go) that mirror loadMem and storeMem at width 8 and append
+// through the same sbAppend. PUSH, POP, CALL, CALLR and RET access their
 // stack slot directly; push and pop drain the buffer first when it holds a
 // store overlapping the slot, so a later drain cannot overwrite a pushed
 // value and a pop cannot miss a buffered store. Instruction fetch reads
@@ -71,15 +74,36 @@ var opDrainsSB = func() [mx.NumOps]bool {
 }()
 
 // drainSB flushes t's buffered stores to memory in FIFO order. Entries were
-// validated as mapped when buffered, so the stores cannot fault.
+// validated as mapped when buffered, so the stores cannot fault. The
+// width-specialized stores count TLB hits and misses exactly as Store does.
 func (m *Machine) drainSB(t *Thread) {
+	mem := m.Mem
 	for i := range t.sbuf {
 		e := &t.sbuf[i]
-		m.Mem.Store(e.addr, e.val, int(e.w))
+		switch e.w {
+		case 1:
+			mem.store8(e.addr, e.val)
+		case 4:
+			mem.store32(e.addr, e.val)
+		default:
+			mem.store64(e.addr, e.val)
+		}
 	}
 	t.sbuf = t.sbuf[:0]
 	if m.sbOwner == t {
 		m.sbOwner = nil
+	}
+}
+
+// sbAppend buffers t's store of v, already masked to its width w, to the
+// validated address addr: it makes t the buffer owner and drains the whole
+// buffer once it reaches capacity. storeMem and the fast loop's inline
+// 64-bit stores both append through it, so drain policy has one definition.
+func (m *Machine) sbAppend(t *Thread, addr, v uint64, w int) {
+	t.sbuf = append(t.sbuf, sbEntry{addr: addr, val: v, w: uint8(w)})
+	m.sbOwner = t
+	if len(t.sbuf) >= sbCap {
+		m.drainSB(t)
 	}
 }
 
@@ -142,12 +166,17 @@ func (m *Machine) storeMem(t *Thread, pc, addr, v uint64, w int) bool {
 		}
 		return true
 	}
-	// A TLB hit proves the target mapped without walking pages; the probe
-	// counts nothing, as buffering translates nothing (the drain does).
-	e := &mem.tlb[(addr>>pageShift)&(tlbSize-1)]
-	off := addr & (pageSize - 1)
-	hit := e.pg != nil && e.base == addr-off && off+uint64(w) <= pageSize
-	if !hit && !mem.Mapped(addr, uint64(w)) {
+	// A store within one page translates its target, which proves it mapped
+	// and fills the TLB entry the drain then hits; a straddling store
+	// checks both pages without translating.
+	var mapped bool
+	if addr&(pageSize-1)+uint64(w) <= pageSize {
+		pg, _ := mem.page(addr, false)
+		mapped = pg != nil
+	} else {
+		mapped = mem.Mapped(addr, uint64(w))
+	}
+	if !mapped {
 		m.faultf(t, pc, "store to unmapped address %#x", addr)
 		return false
 	}
@@ -159,11 +188,7 @@ func (m *Machine) storeMem(t *Thread, pc, addr, v uint64, w int) bool {
 	case 4:
 		v &= 0xffff_ffff
 	}
-	t.sbuf = append(t.sbuf, sbEntry{addr: addr, val: v, w: uint8(w)})
-	m.sbOwner = t
-	if len(t.sbuf) >= sbCap {
-		m.drainSB(t)
-	}
+	m.sbAppend(t, addr, v, w)
 	return true
 }
 

@@ -1,13 +1,17 @@
 package vm_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/mx"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 // Weak-ordering machine mode (weak.go): store-buffer forwarding semantics,
@@ -253,5 +257,106 @@ func TestCountersFenceAndSpillAccounting(t *testing.T) {
 	}
 	if c.OpClassCounts[vm.OpClassFence] != 2 {
 		t.Errorf("fence class = %d, want 2", c.OpClassCounts[vm.OpClassFence])
+	}
+}
+
+// sbDigests runs img on the weak machine at seed and returns its Result and,
+// for every OnBlock call, a digest of the entering thread and PC, the buffer
+// owner and every thread's buffered stores. With ref nil it runs the
+// per-step loop. Otherwise it runs the fast loop and cancels the run at the
+// first digest that differs from ref's, which then ends the digests.
+func sbDigests(t *testing.T, img *image.Image, in core.Input, seed int64, ref []uint64) (vm.Result, []uint64) {
+	t.Helper()
+	m, err := vm.NewWithExts(weakClone(img), seed, in.Exts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Data != nil {
+		m.SetInput(in.Data)
+	}
+	if ref == nil {
+		m.EnableCounters()
+	}
+	stop := make(chan struct{})
+	m.SetCancel(stop)
+	var digests []uint64
+	diverged := false
+	m.OnBlock = func(th *vm.Thread, pc uint64) {
+		if diverged {
+			return // cancelled: the run is stopping
+		}
+		bufs, owner := m.StoreBuffers()
+		h := fnv.New64a()
+		fmt.Fprint(h, th.ID, pc, owner, bufs)
+		digests = append(digests, h.Sum64())
+		if n := len(digests); ref != nil && (n > len(ref) || digests[n-1] != ref[n-1]) {
+			diverged = true
+			close(stop)
+		}
+	}
+	return m.Run(bench.Fuel), digests
+}
+
+// TestWeakModeStoreBufferIdentity holds the fast loop's inline weak
+// micro-ops to the handlers' store-buffer semantics: at every block entry,
+// every thread's buffer (each store's address, value and width, in order)
+// and the buffer owner must be what the per-step loop, which runs every
+// access through the handlers, holds there. The images, over a seed sweep,
+// are the generated programs of TestDispatchFuzzDifferential, histogram
+// and ck_mcs at O2 tagged mx64w, and ck_mcs at O0 recompiled for mx64w.
+func TestWeakModeStoreBufferIdentity(t *testing.T) {
+	type prog struct {
+		name string
+		img  *image.Image
+		in   core.Input
+	}
+	var progs []prog
+	for progSeed := int64(1); progSeed <= 6; progSeed++ {
+		progs = append(progs, prog{fmt.Sprintf("fuzz%d", progSeed), buildFuzzImage(t, progSeed), core.Input{}})
+	}
+	for _, name := range []string{"histogram", "ck_mcs"} {
+		w := workloads.ByName(name)
+		img, err := w.Compile(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog{name, img, w.Input()})
+	}
+	w := workloads.ByName("ck_mcs")
+	img, err := w.Compile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := core.DefaultOptions()
+	o.Target = "mx64w"
+	p, err := core.NewProject(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := p.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs = append(progs, prog{"ck_mcs_mx64w", rec, w.Input()})
+
+	for _, pr := range progs {
+		pr := pr
+		t.Run(pr.name, func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 6; seed++ {
+				step, sd := sbDigests(t, pr.img, pr.in, seed, nil)
+				if step.Fault != nil {
+					t.Fatalf("seed %d: per-step loop: fault: %v", seed, step.Fault)
+				}
+				fast, fd := sbDigests(t, pr.img, pr.in, seed, sd)
+				if n := len(fd); n > 0 && (n > len(sd) || fd[n-1] != sd[n-1]) {
+					t.Fatalf("seed %d: store buffers diverge at block entry %d of %d", seed, n-1, len(sd))
+				}
+				if !sameResult(fast, step) || len(fd) != len(sd) {
+					t.Fatalf("seed %d: fast loop %+v after %d block entries, per-step loop %+v after %d",
+						seed, fast, len(fd), step, len(sd))
+				}
+			}
+		})
 	}
 }
